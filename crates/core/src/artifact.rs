@@ -247,11 +247,12 @@ impl Artifacts {
     }
 
     /// The lint stage under explicit options (deadline-bounded LP,
-    /// LP disabled, …). A cached report is returned regardless of the
-    /// options it was computed under; a freshly computed report is
-    /// cached **only when complete** (no LP abstention), so a
-    /// tightly-budgeted job cannot poison the shared slot with a
-    /// half-done proof set that later unbudgeted jobs would reuse.
+    /// LP disabled, …). A cached report is returned whatever the
+    /// options: it is always a complete one. A freshly computed
+    /// report is cached **only when complete**: its LP ran and did
+    /// not abstain. So neither a tightly-budgeted job nor an LP-free
+    /// pass can poison the shared slot with a partial proof set that
+    /// later jobs asking for the LP would reuse.
     pub fn lint_with(&self, options: &lint::LintOptions) -> Arc<lint::LintReport> {
         {
             let slot = relock(&self.lint);
@@ -266,7 +267,7 @@ impl Artifacts {
         if let Some(cached) = slot.as_ref() {
             return Arc::clone(cached);
         }
-        if !report.proofs.lp_abstained {
+        if options.lp && !report.proofs.lp_abstained {
             *slot = Some(Arc::clone(&report));
         }
         report
@@ -471,6 +472,22 @@ mod tests {
         // vme_read has a real USC/CSC conflict: the LP relaxation must
         // not prove it away.
         assert!(!first.proofs.usc_proved);
+    }
+
+    #[test]
+    fn lp_free_lint_does_not_shadow_a_later_lp_pass() {
+        let artifacts = Artifacts::of(&counterflow_sym(2, 2));
+        let lp_free = lint::LintOptions {
+            lp: false,
+            ..lint::LintOptions::default()
+        };
+        assert!(!artifacts.lint_with(&lp_free).proofs.usc_proved);
+        assert!(!artifacts.has_lint(), "an LP-free report is not cached");
+        let full = artifacts.lint_with(&lint::LintOptions::default());
+        assert!(full.proofs.usc_proved, "the LP proves USC of this net");
+        assert!(artifacts.has_lint());
+        // The complete report now answers LP-free requests too.
+        assert!(Arc::ptr_eq(&artifacts.lint_with(&lp_free), &full));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use stg::Stg;
 
 use crate::artifact::Artifacts;
-use crate::engine::{lint_options, CheckRequest, Engine, Property};
+use crate::engine::{CheckRequest, Engine, Property};
 use crate::error::CheckError;
 use crate::limits::{Budget, Verdict};
 
@@ -286,7 +286,10 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Enables or disables the lint stage (enabled by default).
+    /// Enables or disables the lint stage (enabled by default). The
+    /// stage runs the structural checks and semiflow proofs only, not
+    /// the LP relaxation; the flag also turns the check stage's
+    /// prelint on or off (see [`CheckRequest::prelint`]).
     pub fn lint(mut self, enabled: bool) -> Self {
         self.lint = enabled;
         self
@@ -321,24 +324,21 @@ impl<'a> Pipeline<'a> {
 
         // Stage 1: lint. Error-severity diagnostics abort — they mean
         // the input is structurally broken, which no insertion fixes.
-        // Its LP polls the job's deadline and cancellation flag, like a
-        // check's prelint stage, so a watchdog can cut it short.
+        // The LP proofs are left out: nothing here reads them, and the
+        // check stage runs the LP itself when the paper's engine
+        // abstains.
         if self.lint {
             let t = Instant::now();
-            let lint_report = artifacts.lint_with(&lint_options(&self.budget.guard()));
+            let options = lint::LintOptions {
+                lp: false,
+                ..lint::LintOptions::default()
+            };
+            let lint_report = artifacts.lint_with(&options);
             let errors = lint_report.errors() as u64;
             report.stage(
                 "lint",
                 t,
-                format!(
-                    "{errors} error(s), {} warning(s), usc {}",
-                    lint_report.warnings(),
-                    if lint_report.proofs.usc_proved {
-                        "proved"
-                    } else {
-                        "not proved"
-                    }
-                ),
+                format!("{errors} error(s), {} warning(s)", lint_report.warnings()),
             );
             if errors > 0 {
                 return Err(PipelineError::LintRejected { errors });

@@ -1,6 +1,6 @@
 //! Constraints over configuration vectors.
 
-use crate::expr::{LinExpr, Var};
+use crate::expr::LinExpr;
 
 /// Comparison operator of a [`Constraint::Linear`] against zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,15 +11,6 @@ pub enum CmpOp {
     Le,
     /// `expr ≥ 0`.
     Ge,
-}
-
-/// Outcome of a partial-assignment feasibility check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Feasibility {
-    /// Provably unsatisfiable under the current partial assignment.
-    Conflict,
-    /// Not decided yet.
-    Unknown,
 }
 
 /// A constraint of the verification problems in §3–§6 of the paper.
@@ -54,256 +45,4 @@ pub enum Constraint {
         /// Digit expressions of the right vector.
         rhs: Vec<LinExpr>,
     },
-}
-
-impl Constraint {
-    /// The variables this constraint watches.
-    pub(crate) fn variables(&self) -> Vec<Var> {
-        let mut vars = Vec::new();
-        let push_expr = |e: &LinExpr, vars: &mut Vec<Var>| {
-            for &(v, _) in e.terms() {
-                vars.push(v);
-            }
-        };
-        match self {
-            Constraint::Linear { expr, .. } => push_expr(expr, &mut vars),
-            Constraint::LexLess { lhs, rhs } | Constraint::NotEqual { lhs, rhs } => {
-                for e in lhs.iter().chain(rhs) {
-                    push_expr(e, &mut vars);
-                }
-            }
-        }
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
-
-    /// Sound partial check: returns `Conflict` only if no completion
-    /// of the current partial assignment can satisfy the constraint.
-    /// Additionally reports variables forced by a tight linear bound
-    /// through `force`.
-    pub(crate) fn check_partial(
-        &self,
-        value: &dyn Fn(Var) -> Option<bool>,
-        force: &mut dyn FnMut(Var, bool),
-    ) -> Feasibility {
-        match self {
-            Constraint::Linear { expr, op } => {
-                let (lo, hi) = expr.bounds(value);
-                match op {
-                    CmpOp::Eq => {
-                        if lo > 0 || hi < 0 {
-                            return Feasibility::Conflict;
-                        }
-                        if lo == 0 {
-                            // Must take the minimum: positive coeffs to
-                            // 0, negative to 1.
-                            for &(v, c) in expr.terms() {
-                                if value(v).is_none() {
-                                    force(v, c < 0);
-                                }
-                            }
-                        } else if hi == 0 {
-                            for &(v, c) in expr.terms() {
-                                if value(v).is_none() {
-                                    force(v, c > 0);
-                                }
-                            }
-                        }
-                        Feasibility::Unknown
-                    }
-                    CmpOp::Le => {
-                        if lo > 0 {
-                            return Feasibility::Conflict;
-                        }
-                        if lo == 0 {
-                            for &(v, c) in expr.terms() {
-                                if value(v).is_none() {
-                                    force(v, c < 0);
-                                }
-                            }
-                        }
-                        Feasibility::Unknown
-                    }
-                    CmpOp::Ge => {
-                        if hi < 0 {
-                            return Feasibility::Conflict;
-                        }
-                        if hi == 0 {
-                            for &(v, c) in expr.terms() {
-                                if value(v).is_none() {
-                                    force(v, c > 0);
-                                }
-                            }
-                        }
-                        Feasibility::Unknown
-                    }
-                }
-            }
-            Constraint::LexLess { lhs, rhs } => {
-                // Feasible iff for some digit i: all earlier digits can
-                // be equal and digit i can be strictly less.
-                for (l, r) in lhs.iter().zip(rhs) {
-                    let (llo, lhi) = l.bounds(value);
-                    let (rlo, rhi) = r.bounds(value);
-                    let can_less = llo < rhi;
-                    let can_eq = llo <= rhi && rlo <= lhi;
-                    if can_less {
-                        return Feasibility::Unknown;
-                    }
-                    if !can_eq {
-                        return Feasibility::Conflict;
-                    }
-                }
-                // All digits forced equal-or-greater with equality
-                // possible everywhere but strictness nowhere.
-                Feasibility::Conflict
-            }
-            Constraint::NotEqual { lhs, rhs } => {
-                for (l, r) in lhs.iter().zip(rhs) {
-                    let (llo, lhi) = l.bounds(value);
-                    let (rlo, rhi) = r.bounds(value);
-                    let fixed_equal = llo == lhi && rlo == rhi && llo == rlo;
-                    if !fixed_equal {
-                        return Feasibility::Unknown;
-                    }
-                }
-                Feasibility::Conflict
-            }
-        }
-    }
-
-    /// Exact evaluation under a total assignment.
-    pub(crate) fn check_total(&self, value: &dyn Fn(Var) -> Option<bool>) -> bool {
-        match self {
-            Constraint::Linear { expr, op } => {
-                let v = expr.eval(value);
-                match op {
-                    CmpOp::Eq => v == 0,
-                    CmpOp::Le => v <= 0,
-                    CmpOp::Ge => v >= 0,
-                }
-            }
-            Constraint::LexLess { lhs, rhs } => {
-                for (l, r) in lhs.iter().zip(rhs) {
-                    let lv = l.eval(value);
-                    let rv = r.eval(value);
-                    if lv < rv {
-                        return true;
-                    }
-                    if lv > rv {
-                        return false;
-                    }
-                }
-                false
-            }
-            Constraint::NotEqual { lhs, rhs } => lhs
-                .iter()
-                .zip(rhs)
-                .any(|(l, r)| l.eval(value) != r.eval(value)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn expr(terms: &[(u32, i32)], c: i64) -> LinExpr {
-        let mut e = LinExpr::new();
-        for &(v, k) in terms {
-            e.push(Var(v), k);
-        }
-        e.add_constant(c);
-        e
-    }
-
-    #[test]
-    fn linear_eq_detects_conflict_and_forces() {
-        // x0 + x1 - 2 = 0 with x0 = 0 is infeasible.
-        let c = Constraint::Linear {
-            expr: expr(&[(0, 1), (1, 1)], -2),
-            op: CmpOp::Eq,
-        };
-        let mut forced = Vec::new();
-        let r = c.check_partial(&|v| (v.0 == 0).then_some(false), &mut |v, b| {
-            forced.push((v, b));
-        });
-        assert_eq!(r, Feasibility::Conflict);
-        // With nothing assigned, hi = 0 forces both to 1.
-        forced.clear();
-        let r = c.check_partial(&|_| None, &mut |v, b| forced.push((v, b)));
-        assert_eq!(r, Feasibility::Unknown);
-        assert_eq!(forced, vec![(Var(0), true), (Var(1), true)]);
-    }
-
-    #[test]
-    fn linear_le_ge() {
-        let le = Constraint::Linear {
-            expr: expr(&[(0, 1)], 0),
-            op: CmpOp::Le,
-        };
-        // lo = 0: x0 forced to 0.
-        let mut forced = Vec::new();
-        le.check_partial(&|_| None, &mut |v, b| forced.push((v, b)));
-        assert_eq!(forced, vec![(Var(0), false)]);
-        let ge = Constraint::Linear {
-            expr: expr(&[(0, 1)], -1),
-            op: CmpOp::Ge,
-        };
-        assert_eq!(
-            ge.check_partial(&|_| Some(false), &mut |_, _| {}),
-            Feasibility::Conflict
-        );
-        assert!(ge.check_total(&|_| Some(true)));
-    }
-
-    #[test]
-    fn lex_less_semantics() {
-        // lhs = (x0), rhs = (x1): lex-less iff x0 < x1, i.e. x0=0, x1=1.
-        let c = Constraint::LexLess {
-            lhs: vec![expr(&[(0, 1)], 0)],
-            rhs: vec![expr(&[(1, 1)], 0)],
-        };
-        assert!(c.check_total(&|v| Some(v.0 == 1)));
-        assert!(!c.check_total(&|_| Some(false)));
-        assert!(!c.check_total(&|v| Some(v.0 == 0)));
-        // Partial: x0 = 1 makes it infeasible (digit can't be less,
-        // equality possible, but then nothing left).
-        assert_eq!(
-            c.check_partial(&|v| (v.0 == 0).then_some(true), &mut |_, _| {}),
-            Feasibility::Conflict
-        );
-        assert_eq!(
-            c.check_partial(&|_| None, &mut |_, _| {}),
-            Feasibility::Unknown
-        );
-    }
-
-    #[test]
-    fn not_equal_semantics() {
-        let c = Constraint::NotEqual {
-            lhs: vec![expr(&[(0, 1)], 0)],
-            rhs: vec![expr(&[(1, 1)], 0)],
-        };
-        assert!(c.check_total(&|v| Some(v.0 == 0)));
-        assert!(!c.check_total(&|_| Some(true)));
-        assert_eq!(
-            c.check_partial(&|_| Some(true), &mut |_, _| {}),
-            Feasibility::Conflict
-        );
-        assert_eq!(
-            c.check_partial(&|_| None, &mut |_, _| {}),
-            Feasibility::Unknown
-        );
-    }
-
-    #[test]
-    fn variables_are_deduped() {
-        let c = Constraint::LexLess {
-            lhs: vec![expr(&[(0, 1), (2, 1)], 0)],
-            rhs: vec![expr(&[(2, -1), (1, 1)], 0)],
-        };
-        assert_eq!(c.variables(), vec![Var(0), Var(1), Var(2)]);
-    }
 }

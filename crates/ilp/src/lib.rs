@@ -14,7 +14,19 @@
 //! compatible closure* MCC). On top of it sit linear (pseudo-boolean)
 //! constraints with interval bound propagation, the lexicographic
 //! marking order (the paper's USC separating constraint), and
-//! vector disequality. Problems range over one or more configuration
+//! vector disequality.
+//!
+//! Bound propagation is incremental: the solver flattens every linear
+//! expression of a problem (each `Linear` constraint, each digit of a
+//! `LexLess`/`NotEqual` pair) into a slot table of running `(lo, hi)`
+//! bounds, moved by each assignment and moved back on backtracking,
+//! so a constraint wake reads its bounds instead of recomputing them.
+//! The search tree does not depend on this: the decisions,
+//! propagations, conflicts, leaves and witnesses are those of a
+//! propagation that recomputes every bound from scratch, so
+//! [`SolverOptions::max_steps`] and [`SearchStats::propagations`]
+//! keep their meaning. Debug builds check the running bounds against
+//! [`LinExpr::bounds`] after every propagation. Problems range over one or more configuration
 //! vectors (`x'`, `x''`, …), and searches can run in *exhaustive
 //! enumeration* mode where a leaf callback accepts or rejects each
 //! total assignment — this is how the non-linear CSC and normalcy
@@ -57,6 +69,7 @@ mod constraint;
 mod expr;
 pub mod lp;
 mod problem;
+mod slots;
 mod solver;
 
 pub use bb::{solve_integer, BbAbort, BbOptions, BbOutcome, BbStats, Candidate, CutRow};

@@ -6,9 +6,9 @@ use std::fmt;
 
 use petri::{BitSet, StopGuard, StopReason};
 
-use crate::constraint::Feasibility;
 use crate::expr::Var;
 use crate::problem::Problem;
+use crate::slots::SlotTable;
 
 /// Which value a decision tries first. Trying 1 first drives the
 /// search towards large configurations quickly (good when a conflict
@@ -140,9 +140,13 @@ pub struct Solver<'p, 'r> {
     problem: &'p Problem<'r>,
     options: SolverOptions,
     values: Vec<Option<bool>>,
+    /// `assigned[b][s]`: the events whose side-`s` variable holds `b`,
+    /// so closure propagation skips them word by word.
+    assigned: [Vec<BitSet>; 2],
     trail: Vec<Var>,
     queue: VecDeque<(Var, bool)>,
-    watch: Vec<Vec<u32>>,
+    slots: SlotTable<'p>,
+    forced: Vec<(Var, bool)>,
     order: Vec<Var>,
     stats: SearchStats,
     guard: StopGuard,
@@ -151,12 +155,6 @@ pub struct Solver<'p, 'r> {
 impl<'p, 'r> Solver<'p, 'r> {
     /// Prepares a solver for `problem`.
     pub fn new(problem: &'p Problem<'r>, options: SolverOptions) -> Self {
-        let mut watch = vec![Vec::new(); problem.num_vars()];
-        for (ci, c) in problem.constraints().iter().enumerate() {
-            for v in c.variables() {
-                watch[v.index()].push(ci as u32);
-            }
-        }
         let mut order = problem.decision_order_or_default();
         if problem.explicit_decision_order().is_none()
             && options.var_order == VarOrder::AscendingEvents
@@ -167,9 +165,13 @@ impl<'p, 'r> Solver<'p, 'r> {
             problem,
             options,
             values: vec![None; problem.num_vars()],
+            assigned: std::array::from_fn(|_| {
+                vec![BitSet::new(problem.relations().num_events()); problem.sides()]
+            }),
             trail: Vec::new(),
             queue: VecDeque::new(),
-            watch,
+            slots: SlotTable::new(problem.constraints(), problem.num_vars()),
+            forced: Vec::new(),
             order,
             stats: SearchStats::default(),
             guard: StopGuard::unlimited(),
@@ -190,7 +192,18 @@ impl<'p, 'r> Solver<'p, 'r> {
         self.stats
     }
 
+    /// Drains the queue, assigning each variable and propagating its
+    /// consequences. Returns `false` on a conflict or an abort.
     fn propagate(&mut self) -> bool {
+        let consistent = self.drain_queue();
+        debug_assert!(
+            self.slots.matches(&self.values),
+            "slot bounds drifted from the assignment"
+        );
+        consistent
+    }
+
+    fn drain_queue(&mut self) -> bool {
         while let Some((v, b)) = self.queue.pop_front() {
             match self.values[v.index()] {
                 Some(x) if x == b => continue,
@@ -200,7 +213,10 @@ impl<'p, 'r> Solver<'p, 'r> {
                 }
                 None => {}
             }
+            let (side, e) = self.problem.side_event(v);
             self.values[v.index()] = Some(b);
+            self.assigned[usize::from(b)][side].insert(e.index());
+            self.slots.assign(v, b);
             self.trail.push(v);
             self.stats.propagations += 1;
             if self.stats.propagations > self.options.max_steps {
@@ -212,59 +228,50 @@ impl<'p, 'r> Solver<'p, 'r> {
                 return false;
             }
 
+            // A variable already holding the target value would be
+            // skipped when popped, so it is not queued at all.
+            let n = self.problem.relations().num_events();
+            let base = side * n;
+            let [zeros, ones] = &self.assigned;
+
             // Unf-compatibility closure (Theorem 1 / MCC).
             if self.options.use_closure {
-                let (s, e) = self.problem.side_event(v);
                 let rel = self.problem.relations();
+                let mut enqueue = |f: usize, value: bool| {
+                    self.queue.push_back((Var((base + f) as u32), value));
+                };
                 if b {
-                    for f in rel.predecessors(e).iter() {
-                        self.queue.push_back((
-                            self.problem.var(s, unfolding::EventId::from_index(f)),
-                            true,
-                        ));
-                    }
-                    for g in rel.conflicts(e).iter() {
-                        self.queue.push_back((
-                            self.problem.var(s, unfolding::EventId::from_index(g)),
-                            false,
-                        ));
-                    }
+                    rel.predecessors(e)
+                        .iter_difference(&ones[side])
+                        .for_each(|f| enqueue(f, true));
+                    rel.conflicts(e)
+                        .iter_difference(&zeros[side])
+                        .for_each(|g| enqueue(g, false));
                 } else {
-                    for f in rel.successors(e).iter() {
-                        self.queue.push_back((
-                            self.problem.var(s, unfolding::EventId::from_index(f)),
-                            false,
-                        ));
-                    }
+                    rel.successors(e)
+                        .iter_difference(&zeros[side])
+                        .for_each(|f| enqueue(f, false));
                 }
             }
 
             // Subset chaining (§7): x⁰(e) ≤ x¹(e).
             if self.problem.subset_chain() {
-                let (s, e) = self.problem.side_event(v);
-                if b && s == 0 {
-                    self.queue.push_back((self.problem.var(1, e), true));
-                } else if !b && s == 1 {
-                    self.queue.push_back((self.problem.var(0, e), false));
+                let other = 1 - side;
+                let holds = if b { ones } else { zeros };
+                if b == (side == 0) && !holds[other].contains(e.index()) {
+                    self.queue
+                        .push_back((Var((other * n + e.index()) as u32), b));
                 }
             }
 
-            // Wake the watching constraints.
-            let mut forced: Vec<(Var, bool)> = Vec::new();
-            for wi in 0..self.watch[v.index()].len() {
-                let ci = self.watch[v.index()][wi] as usize;
-                let constraint = &self.problem.constraints()[ci];
-                let values = &self.values;
-                let feasibility = constraint
-                    .check_partial(&|u: Var| values[u.index()], &mut |u, val| {
-                        forced.push((u, val))
-                    });
-                if feasibility == Feasibility::Conflict {
-                    self.queue.clear();
-                    return false;
-                }
+            // Wake the constraints `v` occurs in; what they force is
+            // queued after all of them have been checked.
+            self.forced.clear();
+            if !self.slots.wake(v, &self.values, &mut self.forced) {
+                self.queue.clear();
+                return false;
             }
-            self.queue.extend(forced);
+            self.queue.extend(self.forced.drain(..));
         }
         true
     }
@@ -278,27 +285,12 @@ impl<'p, 'r> Solver<'p, 'r> {
     fn unwind_to(&mut self, len: usize) {
         while self.trail.len() > len {
             let Some(v) = self.trail.pop() else { break };
-            self.values[v.index()] = None;
-        }
-    }
-
-    fn all_constraints_hold(&self) -> bool {
-        let values = &self.values;
-        self.problem
-            .constraints()
-            .iter()
-            .all(|c| c.check_total(&|u: Var| values[u.index()]))
-    }
-
-    fn extract_sides(&self) -> Vec<BitSet> {
-        let n = self.problem.relations().num_events();
-        let mut sides = vec![BitSet::new(n); self.problem.sides()];
-        for (i, v) in self.values.iter().enumerate() {
-            if *v == Some(true) {
-                sides[i / n].insert(i % n);
+            if let Some(b) = self.values[v.index()].take() {
+                let (side, e) = self.problem.side_event(v);
+                self.assigned[usize::from(b)][side].remove(e.index());
+                self.slots.retract(v, b);
             }
         }
-        sides
     }
 
     /// Runs the search. `on_leaf` is invoked for every constraint-
@@ -312,6 +304,8 @@ impl<'p, 'r> Solver<'p, 'r> {
     pub fn solve(&mut self, mut on_leaf: impl FnMut(&[BitSet]) -> bool) -> Option<Vec<BitSet>> {
         self.stats = SearchStats::default();
         self.values.fill(None);
+        self.assigned.iter_mut().flatten().for_each(BitSet::clear);
+        self.slots.reset();
         self.trail.clear();
         self.queue.clear();
 
@@ -357,8 +351,8 @@ impl<'p, 'r> Solver<'p, 'r> {
                 None => {
                     // Total assignment.
                     self.stats.leaves += 1;
-                    if self.all_constraints_hold() {
-                        let sides = self.extract_sides();
+                    if self.slots.all_hold() {
+                        let sides = self.assigned[1].clone();
                         if on_leaf(&sides) {
                             return Some(sides);
                         }
@@ -500,6 +494,186 @@ mod tests {
             "a must be pulled in by closure"
         );
         assert!(!sol[0].contains(ec.index()), "c conflicts with a");
+    }
+
+    /// The four configurations of [`prefix`] as `[a, b, c]` flags.
+    const CONFIGS: [[bool; 3]; 4] = [
+        [false, false, false],
+        [true, false, false],
+        [false, false, true],
+        [true, true, false],
+    ];
+
+    /// Enumerates every solution of `problem` (two sides over
+    /// [`prefix`]) as pairs of indices into [`CONFIGS`].
+    fn solution_pairs(
+        problem: &Problem<'_>,
+        prefix: &Prefix,
+    ) -> (Vec<(usize, usize)>, SearchStats) {
+        let ids = ["a", "b", "c"].map(|name| event_named(prefix, name).index());
+        let index_of = |side: &BitSet| {
+            CONFIGS
+                .iter()
+                .position(|flags| (0..3).all(|i| flags[i] == side.contains(ids[i])))
+                .expect("solutions are configurations")
+        };
+        let mut solver = Solver::new(problem, SolverOptions::default());
+        let mut found = Vec::new();
+        solver.solve(|sides| {
+            found.push((index_of(&sides[0]), index_of(&sides[1])));
+            false
+        });
+        found.sort_unstable();
+        (found, solver.stats())
+    }
+
+    /// The pairs of [`CONFIGS`] on which `holds` accepts the total
+    /// assignment.
+    fn brute_force_pairs(
+        problem: &Problem<'_>,
+        prefix: &Prefix,
+        holds: impl Fn(&dyn Fn(Var) -> Option<bool>) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let ids = ["a", "b", "c"].map(|name| event_named(prefix, name));
+        let mut pairs = Vec::new();
+        for (i, x) in CONFIGS.iter().enumerate() {
+            for (j, y) in CONFIGS.iter().enumerate() {
+                let value = |v: Var| {
+                    let (s, e) = problem.side_event(v);
+                    let k = ids.iter().position(|&id| id == e)?;
+                    Some(if s == 0 { x[k] } else { y[k] })
+                };
+                if holds(&value) {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// A small xorshift generator, so the random problems are
+    /// reproducible.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn random_expr(
+        problem: &Problem<'_>,
+        prefix: &Prefix,
+        rng: &mut Rng,
+        side: Option<usize>,
+    ) -> LinExpr {
+        let mut expr = LinExpr::new();
+        for name in ["a", "b", "c"] {
+            for s in 0..2 {
+                if side.is_none_or(|side| side == s) && rng.below(2) == 0 {
+                    let coeff = rng.below(7) as i32 - 3;
+                    expr.push(problem.var(s, event_named(prefix, name)), coeff);
+                }
+            }
+        }
+        expr.add_constant(rng.below(5) as i64 - 2);
+        expr
+    }
+
+    #[test]
+    fn random_linear_constraints_match_brute_force_under_closure() {
+        let (prefix, rel) = prefix();
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut backtracked = 0;
+        for _ in 0..300 {
+            let mut problem = Problem::new(&rel, 2);
+            let mut rows = Vec::new();
+            for k in 0..1 + rng.below(3) as usize {
+                let op = [CmpOp::Eq, CmpOp::Le, CmpOp::Ge][k % 3];
+                let expr = random_expr(&problem, &prefix, &mut rng, None);
+                rows.push((expr.clone(), op));
+                problem.add_linear(expr, op);
+            }
+            let (got, stats) = solution_pairs(&problem, &prefix);
+            let expected = brute_force_pairs(&problem, &prefix, |value| {
+                rows.iter().all(|(expr, op)| {
+                    let v = expr.eval(value);
+                    match op {
+                        CmpOp::Eq => v == 0,
+                        CmpOp::Le => v <= 0,
+                        CmpOp::Ge => v >= 0,
+                    }
+                })
+            });
+            assert_eq!(got, expected);
+            assert!(stats.leaves as usize >= got.len());
+            backtracked += usize::from(stats.conflicts > 0);
+        }
+        assert!(backtracked > 0, "some searches must hit conflicts");
+    }
+
+    #[test]
+    fn lex_less_and_not_equal_survive_backtracking() {
+        let (prefix, rel) = prefix();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for round in 0..200 {
+            let mut problem = Problem::new(&rel, 2);
+            let digits = 1 + rng.below(3) as usize;
+            let lhs: Vec<LinExpr> = (0..digits)
+                .map(|_| random_expr(&problem, &prefix, &mut rng, Some(0)))
+                .collect();
+            let rhs: Vec<LinExpr> = (0..digits)
+                .map(|_| random_expr(&problem, &prefix, &mut rng, Some(1)))
+                .collect();
+            let lex = round % 2 == 0;
+            if lex {
+                problem.add_lex_less(lhs.clone(), rhs.clone());
+            } else {
+                problem.add_not_equal(lhs.clone(), rhs.clone());
+            }
+            let (got, _) = solution_pairs(&problem, &prefix);
+            let expected = brute_force_pairs(&problem, &prefix, |value| {
+                let l: Vec<i64> = lhs.iter().map(|e| e.eval(value)).collect();
+                let r: Vec<i64> = rhs.iter().map(|e| e.eval(value)).collect();
+                if lex {
+                    l < r
+                } else {
+                    l != r
+                }
+            });
+            assert_eq!(got, expected, "round {round}");
+        }
+    }
+
+    #[test]
+    fn conflict_among_fixed_variables_stops_at_the_root() {
+        let (prefix, rel) = prefix();
+        let ea = event_named(&prefix, "a");
+        let eb = event_named(&prefix, "b");
+        // Closure: b needs its cause a.
+        let mut problem = Problem::new(&rel, 1);
+        problem.fix(problem.var(0, eb), true);
+        problem.fix(problem.var(0, ea), false);
+        let mut solver = Solver::new(&problem, SolverOptions::default());
+        assert_eq!(solver.solve_checked(|_| true), Ok(None));
+        let stats = solver.stats();
+        assert_eq!((stats.decisions, stats.conflicts, stats.leaves), (0, 1, 0));
+        // Linear: x(a) ≤ 0 with a fixed to 1.
+        let mut problem = Problem::new(&rel, 1);
+        let mut expr = LinExpr::new();
+        expr.push(problem.var(0, ea), 1);
+        problem.add_linear(expr, CmpOp::Le);
+        problem.fix(problem.var(0, ea), true);
+        let mut solver = Solver::new(&problem, SolverOptions::default());
+        assert!(solver.solve(|_| true).is_none());
+        let stats = solver.stats();
+        assert_eq!(
+            (stats.decisions, stats.conflicts, stats.propagations),
+            (0, 1, 1)
+        );
     }
 
     #[test]

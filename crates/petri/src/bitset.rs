@@ -163,6 +163,30 @@ impl BitSet {
         }
     }
 
+    /// Iterates over the elements of `self \ other` in increasing
+    /// order, word by word, without materialising the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn iter_difference<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = usize> + 'a {
+        self.assert_compatible(other);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(i, (a, b))| {
+                let mut word = a & !b;
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        i * 64 + bit
+                    })
+                })
+            })
+    }
+
     /// Returns the smallest element, if any.
     pub fn first(&self) -> Option<usize> {
         self.iter().next()
@@ -228,6 +252,25 @@ impl Iterator for Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn iter_difference_matches_difference_with() {
+        let mut a = BitSet::new(200);
+        let mut b = BitSet::new(200);
+        for i in (0..200).step_by(3) {
+            a.insert(i);
+        }
+        for i in (0..200).step_by(5) {
+            b.insert(i);
+        }
+        let mut expected = a.clone();
+        expected.difference_with(&b);
+        assert_eq!(
+            a.iter_difference(&b).collect::<Vec<_>>(),
+            expected.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(a.iter_difference(&a).count(), 0);
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -196,8 +196,9 @@ mod tests {
         use csc_core::Budget;
         use std::time::{Duration, Instant};
         // CF-ASYM-B is conflict-free and its relaxation LP takes
-        // seconds; the lint stage must give up at the deadline like
-        // every other stage instead of finishing the LP.
+        // seconds; wherever the pipeline runs that LP (the lint stage
+        // leaves it to the check stage's prelint), it must give up at
+        // the deadline like every other stage instead of finishing it.
         let stg = counterflow_asym(4, 2);
         let budget = Duration::from_millis(200);
         let mut options = SynthesisOptions::default();
