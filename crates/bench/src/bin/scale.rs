@@ -6,20 +6,10 @@
 //!
 //! Usage: `cargo run --release -p bench-harness --bin scale
 //! [-- --max N] [-- --json PATH] [-- --budget-ms MS]
-//! [-- --budget-bdd-nodes N] [-- --server-bench] [-- --workers N]
-//! [-- --cache-bench] [-- --unfold-threads N]`
+//! [-- --budget-bdd-nodes N] [-- --cache-bench] [-- --unfold-threads N]`
 //!
 //! With `--budget-ms` each point's unfolding + IP run gets a
 //! wall-clock allowance; aborted points are recorded, not fatal.
-//!
-//! With `--server-bench` the counterflow suite is additionally pushed
-//! through an in-process `stgd` worker pool twice — sequential
-//! portfolio vs racing portfolio — and the wall-clock comparison is
-//! recorded in the JSON artifact under `"server_bench"`. The per-job
-//! budget for those batches comes from `--budget-ms` and
-//! `--budget-solver-steps`; a solver-step cap that the larger widths
-//! exceed is what separates the two portfolios (the sequential one
-//! pays for the exhausted unfolding+IP phase serially).
 //!
 //! With `--cache-bench` every counterflow width's CSC check is run
 //! twice against one artifact cache — cold (set built) and warm (set
@@ -45,8 +35,8 @@ use std::fs;
 use std::time::Duration;
 
 use bench_harness::{
-    run_bdd_bench, run_cache_bench, run_scale, run_scale_counterflow, run_server_bench,
-    run_unfold_bench, scale_artifact_json, Budget,
+    run_bdd_bench, run_cache_bench, run_scale, run_scale_counterflow, run_unfold_bench,
+    scale_artifact_json, Budget,
 };
 
 fn main() {
@@ -86,13 +76,6 @@ fn main() {
         None => {}
     }
 
-    let server_bench = args.iter().any(|a| a == "--server-bench");
-    let workers: usize = args
-        .windows(2)
-        .find(|w| w[0] == "--workers")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(4);
-
     let stages: Vec<usize> = (1..=max).collect();
     let points = if counterflow {
         run_scale_counterflow(&stages, 2, 2_000_000, &budget)
@@ -122,56 +105,6 @@ fn main() {
             p.clp_outcome,
         );
     }
-
-    let sb_points = if server_bench {
-        let widths: Vec<usize> = (1..=max).collect();
-        let spec = server::protocol::BudgetSpec {
-            timeout_ms: args
-                .windows(2)
-                .find(|w| w[0] == "--budget-ms")
-                .and_then(|w| w[1].parse().ok()),
-            max_solver_steps: args
-                .windows(2)
-                .find(|w| w[0] == "--budget-solver-steps")
-                .and_then(|w| w[1].parse().ok()),
-            ..Default::default()
-        };
-        let sb = run_server_bench(&widths, 2, workers, 2 * workers, spec);
-        println!();
-        println!(
-            "{:>3} | {:>4} {:>7} | {:>13} {:>9} | {:>7} | {:>5} {:>7} | winners",
-            "n", "jobs", "workers", "portfolio[ms]", "race[ms]", "speedup", "sheds", "retries"
-        );
-        println!("{}", "-".repeat(88));
-        for p in &sb {
-            let winners = p
-                .race_winners
-                .iter()
-                .map(|(name, count)| format!("{name}:{count}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            println!(
-                "{:>3} | {:>4} {:>7} | {:>13.2} {:>9.2} | {:>6.2}x | {:>5} {:>7} | {}{}",
-                p.n,
-                p.jobs,
-                p.workers,
-                p.portfolio_ms,
-                p.race_ms,
-                p.speedup,
-                p.sheds,
-                p.retries,
-                winners,
-                if p.verdicts_ok {
-                    ""
-                } else {
-                    " VERDICT MISMATCH"
-                },
-            );
-        }
-        sb
-    } else {
-        Vec::new()
-    };
 
     let cb_points = if args.iter().any(|a| a == "--cache-bench") {
         let widths: Vec<usize> = (1..=max).collect();
@@ -282,7 +215,7 @@ fn main() {
     if let Some(path) = json_path {
         fs::write(
             &path,
-            scale_artifact_json(&points, &sb_points, &cb_points, &bdd_points, &ub_points),
+            scale_artifact_json(&points, &cb_points, &bdd_points, &ub_points),
         )
         .expect("write json");
         eprintln!("wrote {path}");

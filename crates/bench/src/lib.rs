@@ -15,10 +15,7 @@
 //!
 //! * `table1` — prints the table and writes `table1.json`;
 //! * `scale`  — the scalability sweep (pipeline width vs state count,
-//!   prefix size, engine times); with `--server-bench` it also
-//!   batches the counterflow suite through an in-process `stgd`
-//!   twice — sequential portfolio vs racing portfolio — and records
-//!   the wall-clock comparison; with `--cache-bench` it measures the
+//!   prefix size, engine times); with `--cache-bench` it measures the
 //!   artifact cache (cold check vs warm check on a cached artifact
 //!   set, the warm one performing zero unfolding work).
 
@@ -644,169 +641,6 @@ pub fn run_scale_counterflow(
         .collect()
 }
 
-/// One width of the server-bench comparison: the same counterflow
-/// batch pushed through one `stgd` worker pool twice, once with the
-/// sequential portfolio and once with the racing portfolio.
-///
-/// The interesting regime is a *bounded* per-job budget (say a
-/// solver-step cap): widths whose absence proof exceeds the cap make
-/// the sequential portfolio pay for the failed unfolding+IP phase
-/// before the explicit fallback even starts, while the race runs
-/// both concurrently and adopts whichever concludes first.
-#[derive(Debug, Clone)]
-pub struct ServerBenchPoint {
-    /// Counterflow width.
-    pub n: usize,
-    /// Jobs in the batch.
-    pub jobs: usize,
-    /// Worker threads of the pool.
-    pub workers: usize,
-    /// Per-job wall-clock allowance, milliseconds (`None` =
-    /// unlimited).
-    pub budget_ms: Option<u64>,
-    /// Per-job IP solver propagation cap (`None` = unlimited).
-    pub budget_solver_steps: Option<u64>,
-    /// Batch wall-clock with `engine = portfolio`, milliseconds.
-    pub portfolio_ms: f64,
-    /// Batch wall-clock with `engine = race`, milliseconds.
-    pub race_ms: f64,
-    /// `portfolio_ms / race_ms` (> 1 means the race won).
-    pub speedup: f64,
-    /// Engines that won races in this batch, with win counts.
-    pub race_winners: Vec<(String, usize)>,
-    /// Load-shedding responses (`queue_full`/`over_quota`) received
-    /// across both batches; each shed job was resubmitted after the
-    /// server's `retry_after_ms` hint.
-    pub sheds: u64,
-    /// Client-side resubmissions across both batches (sheds plus
-    /// `worker_crashed` retries).
-    pub retries: u64,
-    /// Whether every job of both batches came back conclusive with
-    /// the expected verdict (counterflow is conflict-free).
-    pub verdicts_ok: bool,
-}
-
-/// Times one batch (`reps` identical CSC jobs on the counterflow
-/// model of width `n`) against a running server, returning the batch
-/// wall-clock, per-engine race-win counts, whether every verdict was
-/// the expected `holds`, and the shed/retry counts of the run.
-///
-/// The batch is pipelined, so a bounded server may shed some of it
-/// with `queue_full`; shed jobs are resubmitted after the server's
-/// `retry_after_ms` hint until every job has a terminal verdict —
-/// the measured wall-clock therefore includes the retry traffic, as
-/// a real overloaded client would experience it.
-fn server_batch(
-    addr: std::net::SocketAddr,
-    g_text: &str,
-    n: usize,
-    reps: usize,
-    engine: Engine,
-    budget: server::protocol::BudgetSpec,
-) -> (f64, Vec<(String, usize)>, bool, u64, u64) {
-    use server::protocol::CheckRequest;
-    let request = |id: String| CheckRequest {
-        id,
-        stg_g: g_text.to_owned(),
-        property: Property::Csc,
-        engine: Some(engine),
-        budget,
-    };
-    // The default 30 s read timeout is sized for interactive use; a
-    // pipelined batch racing four engines on one core can keep a
-    // response in flight for longer than that, so give the bench
-    // client a leash sized for the workload instead.
-    let mut client = server::Client::connect_with_timeout(addr, Some(Duration::from_secs(300)))
-        .expect("connect to in-process stgd");
-    let t0 = Instant::now();
-    for rep in 0..reps {
-        client
-            .submit(&request(format!("cf{n}-{}-{rep}", engine.name())))
-            .expect("submit job");
-    }
-    let mut ok = true;
-    let mut winners: Vec<(String, usize)> = Vec::new();
-    let (mut sheds, mut retries) = (0u64, 0u64);
-    let mut outstanding = reps;
-    while outstanding > 0 {
-        let response = client.read_response().expect("read verdict");
-        if response.is_retryable() {
-            // Shed or crashed: resubmit the same id after the
-            // server's hint (idempotent job, same verdict).
-            if response.code.as_deref() != Some("worker_crashed") {
-                sheds += 1;
-            }
-            retries += 1;
-            if let Some(ms) = response.retry_after_ms {
-                std::thread::sleep(std::time::Duration::from_millis(ms.min(250)));
-            }
-            let id = response.id.expect("shed response echoes the id");
-            client.submit(&request(id)).expect("resubmit shed job");
-            continue;
-        }
-        outstanding -= 1;
-        ok &= response.verdict.as_deref() == Some("holds");
-        if let Some(winner) = response.winner {
-            match winners.iter_mut().find(|(name, _)| *name == winner) {
-                Some((_, count)) => *count += 1,
-                None => winners.push((winner, 1)),
-            }
-        }
-    }
-    (
-        t0.elapsed().as_secs_f64() * 1e3,
-        winners,
-        ok,
-        sheds,
-        retries,
-    )
-}
-
-/// Runs the server-bench comparison over counterflow `widths` at
-/// fixed `depth`: each width's batch of `reps` CSC jobs is served by
-/// one in-process `stgd` pool of `workers` threads, first with the
-/// sequential portfolio, then with the racing portfolio, every job
-/// under the same per-job `budget`.
-pub fn run_server_bench(
-    widths: &[usize],
-    depth: usize,
-    workers: usize,
-    reps: usize,
-    budget: server::protocol::BudgetSpec,
-) -> Vec<ServerBenchPoint> {
-    let handle = server::spawn(server::ServerConfig {
-        workers,
-        ..Default::default()
-    })
-    .expect("bind in-process stgd on an ephemeral port");
-    let points = widths
-        .iter()
-        .map(|&n| {
-            let g_text = stg::to_g_format(&counterflow_sym(n, depth), "counterflow");
-            let (portfolio_ms, _, portfolio_ok, p_sheds, p_retries) =
-                server_batch(handle.addr(), &g_text, n, reps, Engine::Portfolio, budget);
-            let (race_ms, race_winners, race_ok, r_sheds, r_retries) =
-                server_batch(handle.addr(), &g_text, n, reps, Engine::Race, budget);
-            ServerBenchPoint {
-                n,
-                jobs: reps,
-                workers,
-                budget_ms: budget.timeout_ms,
-                budget_solver_steps: budget.max_solver_steps,
-                portfolio_ms,
-                race_ms,
-                speedup: portfolio_ms / race_ms,
-                race_winners,
-                sheds: p_sheds + r_sheds,
-                retries: p_retries + r_retries,
-                verdicts_ok: portfolio_ok && race_ok,
-            }
-        })
-        .collect();
-    handle.shutdown();
-    points
-}
-
 /// One width of the artifact-cache comparison: the same counterflow
 /// CSC job decided twice against one [`server::ArtifactCache`] —
 /// first cold (the artifact set is built), then warm (the cached set
@@ -1256,36 +1090,6 @@ pub fn table_to_json(rows: &[TableRow]) -> String {
     json::array(&objects)
 }
 
-/// Serialises server-bench points as a pretty-printed JSON array.
-pub fn server_bench_to_json(points: &[ServerBenchPoint]) -> String {
-    let objects: Vec<json::Object> = points
-        .iter()
-        .map(|p| {
-            let winners = p
-                .race_winners
-                .iter()
-                .map(|(name, count)| format!("{name}:{count}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            let mut o = json::Object::new();
-            o.number("n", p.n)
-                .number("jobs", p.jobs)
-                .number("workers", p.workers)
-                .opt_number("budget_ms", p.budget_ms)
-                .opt_number("budget_solver_steps", p.budget_solver_steps)
-                .float("portfolio_ms", p.portfolio_ms)
-                .float("race_ms", p.race_ms)
-                .float("speedup", p.speedup)
-                .string("race_winners", &winners)
-                .number("sheds", p.sheds)
-                .number("retries", p.retries)
-                .boolean("verdicts_ok", p.verdicts_ok);
-            o
-        })
-        .collect();
-    json::array(&objects)
-}
-
 /// Serialises cache-bench points as a pretty-printed JSON array.
 pub fn cache_bench_to_json(points: &[CacheBenchPoint]) -> String {
     let objects: Vec<json::Object> = points
@@ -1348,14 +1152,12 @@ pub fn unfold_bench_to_json(points: &[UnfoldBenchPoint]) -> String {
 }
 
 /// Renders the full `scale.json` artifact: the sweep under `"sweep"`,
-/// plus — when they ran — the server-bench comparison under
-/// `"server_bench"`, the artifact-cache comparison under
+/// plus — when they ran — the artifact-cache comparison under
 /// `"cache_bench"`, the BDD memory-management comparison under
 /// `"bdd_bench"` and the parallel-unfolding comparison under
 /// `"unfold_bench"`.
 pub fn scale_artifact_json(
     points: &[ScalePoint],
-    server_bench: &[ServerBenchPoint],
     cache_bench: &[CacheBenchPoint],
     bdd_bench: &[BddBenchPoint],
     unfold_bench: &[UnfoldBenchPoint],
@@ -1363,10 +1165,6 @@ pub fn scale_artifact_json(
     let indent = |text: String| text.replace('\n', "\n  ");
     let mut out = String::from("{\n  \"sweep\": ");
     out.push_str(&indent(scale_to_json(points)));
-    if !server_bench.is_empty() {
-        out.push_str(",\n  \"server_bench\": ");
-        out.push_str(&indent(server_bench_to_json(server_bench)));
-    }
     if !cache_bench.is_empty() {
         out.push_str(",\n  \"cache_bench\": ");
         out.push_str(&indent(cache_bench_to_json(cache_bench)));

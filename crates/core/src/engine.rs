@@ -5,9 +5,8 @@
 //! programming method, by explicit state-graph enumeration (the
 //! ground-truth oracle), by the BDD-based symbolic baseline (the
 //! Petrify-style comparator of Table 1), by CEGAR over the state
-//! equation, by a [`Engine::Portfolio`] that degrades gracefully from
-//! the first to the second, or by [`Engine::Race`], an ordered
-//! schedule that ends in a concurrent race.
+//! equation, or by [`Engine::Race`], an ordered schedule that ends in a
+//! concurrent race.
 //!
 //! # The `Race` schedule
 //!
@@ -36,6 +35,10 @@
 //! prefix or integer program outgrows the caps. A truncated stage-2
 //! prefix is never cached, so the race's unfolding racer still runs
 //! uncapped.
+//!
+//! Every stage that runs and abstains folds its counters into the one
+//! [`ResourceReport`] the check returns; the first stage that answers
+//! names itself in [`ResourceReport::winner`].
 //!
 //! Every call runs under a [`Budget`] and returns a three-valued
 //! [`Verdict`] plus a [`ResourceReport`]: an exhausted engine answers
@@ -73,11 +76,7 @@ pub enum Engine {
     ExplicitStateGraph,
     /// Symbolic BDD traversal computing all conflicts.
     SymbolicBdd,
-    /// Unfolding + ILP under budget, falling back to the explicit
-    /// oracle when the prefix built so far suggests a small state
-    /// space; otherwise `Unknown` with partial statistics.
-    Portfolio,
-    /// Ordered schedule ending in a racing parallel portfolio (see
+    /// Ordered schedule ending in a race of the base engines (see
     /// the module docs): the structure fast path, then unfolding + ILP
     /// under small constant caps (after an explicit probe that answers
     /// nets of at most 16 markings), then the prelint LP, and only then
@@ -94,14 +93,22 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The name used in [`ResourceReport::engine`] and error
-    /// messages.
+    /// Every engine, in the order usage and error messages list them.
+    pub const ALL: [Engine; 5] = [
+        Engine::UnfoldingIlp,
+        Engine::ExplicitStateGraph,
+        Engine::SymbolicBdd,
+        Engine::Cegar,
+        Engine::Race,
+    ];
+
+    /// The name used in [`ResourceReport::engine`], on the wire and on
+    /// the command line.
     pub fn name(self) -> &'static str {
         match self {
             Engine::UnfoldingIlp => "unfolding-ilp",
             Engine::ExplicitStateGraph => "explicit",
             Engine::SymbolicBdd => "symbolic",
-            Engine::Portfolio => "portfolio",
             Engine::Race => "race",
             Engine::Cegar => "cegar",
         }
@@ -119,10 +126,8 @@ pub enum Property {
     Normalcy,
 }
 
-/// Prefixes at most this many events still count as "small" for the
-/// portfolio's explicit fallback; also the event cap of the capped
-/// unfolding stage of [`Engine::Race`].
-const PORTFOLIO_SMALL_PREFIX: usize = 4096;
+/// Event cap of the capped unfolding stage of [`Engine::Race`].
+const SCHEDULE_EVENTS: usize = 4096;
 
 /// Solver-step cap of the capped unfolding stage of [`Engine::Race`].
 /// The Table 1 rows need at most a few thousand steps; a net that
@@ -136,16 +141,16 @@ const SCHEDULE_SOLVER_STEPS: u64 = 1_000_000;
 /// the probe no more than that before the paper's engine runs.
 const SCHEDULE_SMALL_STATES: usize = 16;
 
-/// State cap for the portfolio's explicit fallback when the budget
-/// does not set one — keeps an event-capped run from degrading into
-/// an unbounded enumeration.
-const PORTFOLIO_FALLBACK_STATES: usize = 1 << 18;
+/// State cap of the explicit racer of [`Engine::Race`] when the budget
+/// does not set one — keeps an uncapped race from degrading into an
+/// unbounded enumeration while the other racers are still working.
+const RACE_EXPLICIT_STATES: usize = 1 << 18;
 
 /// One property check, assembled with a builder and dispatched by
 /// [`CheckRequest::run`].
 ///
 /// This is the single entry point into the engines. Defaults:
-/// [`Engine::Portfolio`], an unlimited [`Budget`], and a private
+/// [`Engine::UnfoldingIlp`], an unlimited [`Budget`], and a private
 /// per-call [`Artifacts`] set; each can be overridden before
 /// dispatch. Attach a shared artifact set with
 /// [`CheckRequest::artifacts`] when several checks run on the same
@@ -153,8 +158,8 @@ const PORTFOLIO_FALLBACK_STATES: usize = 1 << 18;
 /// encoding) are then built once and reused.
 ///
 /// The budget's deadline is anchored once, inside [`CheckRequest::run`],
-/// so every stage of a check (structure, prelint LP, a portfolio's
-/// phases, the race schedule) shares a single wall clock.
+/// so every stage of a check (structure, prelint LP, the race
+/// schedule) shares a single wall clock.
 ///
 /// # Examples
 ///
@@ -168,7 +173,6 @@ const PORTFOLIO_FALLBACK_STATES: usize = 1 << 18;
 ///     Engine::UnfoldingIlp,
 ///     Engine::ExplicitStateGraph,
 ///     Engine::SymbolicBdd,
-///     Engine::Portfolio,
 ///     Engine::Race,
 /// ] {
 ///     let run = CheckRequest::new(&stg, Property::Csc)
@@ -215,13 +219,14 @@ pub struct CheckRequest<'a> {
 
 impl<'a> CheckRequest<'a> {
     /// A request to decide `property` for `stg` with the default
-    /// engine ([`Engine::Portfolio`]) and an unlimited budget.
+    /// engine ([`Engine::UnfoldingIlp`], the paper's) and an unlimited
+    /// budget.
     pub fn new(stg: &'a Stg, property: Property) -> Self {
         CheckRequest {
             stg,
             artifacts: None,
             property,
-            engine: Engine::Portfolio,
+            engine: Engine::UnfoldingIlp,
             budget: Budget::unlimited(),
             prelint: false,
             structure: false,
@@ -243,8 +248,7 @@ impl<'a> CheckRequest<'a> {
 
     /// Sets the worker count for parallel possible-extensions
     /// discovery during prefix construction (engines that unfold:
-    /// `UnfoldingIlp`, `Portfolio`, and the unfolding racer of
-    /// `Race`). The prefix is bit-identical for every thread count —
+    /// `UnfoldingIlp`, and stage 2 and the unfolding racer of `Race`). The prefix is bit-identical for every thread count —
     /// see [`unfolding::UnfoldOptions::threads`] — so this knob only
     /// affects wall-clock time, never verdicts or cached artifacts.
     /// `0` means auto-detect from available parallelism; unset keeps
@@ -334,6 +338,22 @@ impl<'a> CheckRequest<'a> {
     }
 
     fn run_on(&self, artifacts: &Artifacts) -> Result<CheckRun, CheckError> {
+        let mut report = ResourceReport::empty(self.engine.name());
+        let verdict = self.run_stages(artifacts, &mut report)?;
+        Ok(CheckRun { verdict, report })
+    }
+
+    /// Runs the check's stages in order, each folding what it did into
+    /// `report`, and returns the verdict of the first stage that
+    /// answers (the engine stage answers last, possibly `Unknown`).
+    /// `report.elapsed` covers the engine stages only, unless the
+    /// structure pass or the LP answered: then it covers the whole
+    /// check.
+    fn run_stages(
+        &self,
+        artifacts: &Artifacts,
+        report: &mut ResourceReport,
+    ) -> Result<Verdict, CheckError> {
         let start = Instant::now();
         // One guard per check: every stage below polls the same
         // absolute deadline, so a `deadline = D` check ends within D
@@ -342,95 +362,69 @@ impl<'a> CheckRequest<'a> {
         // The structure stage first: it is cheaper than the lint LP
         // and can decide USC/CSC outright on single-token state
         // machines, with a concrete two-state witness on refutation.
-        let structure_summary = if self.structure {
-            let report = artifacts.structure();
-            let mut summary = summarize_structure(&report);
-            if matches!(self.property, Property::Usc | Property::Csc) {
-                if let Some(verdict) =
-                    state_machine_fast_path(artifacts.stg(), &report, self.property)
-                {
-                    summary.proved = true;
-                    let mut rr = ResourceReport::empty(self.engine.name());
-                    rr.winner = Some("structure");
-                    rr.elapsed = start.elapsed();
-                    rr.prefix_events_built = Some(0);
-                    rr.structure = Some(summary);
-                    return Ok(CheckRun {
-                        verdict,
-                        report: rr,
-                    });
+        if self.structure {
+            let structure = artifacts.structure();
+            let verdict = match self.property {
+                Property::Usc | Property::Csc => {
+                    state_machine_fast_path(artifacts.stg(), &structure, self.property)
                 }
+                Property::Normalcy => None,
+            };
+            report.structure = Some(summarize_structure(&structure, verdict.is_some()));
+            if let Some(verdict) = verdict {
+                report.winner = Some("structure");
+                report.elapsed = start.elapsed();
+                report.prefix_events_built = Some(0);
+                return Ok(verdict);
             }
-            Some(summary)
-        } else {
-            None
-        };
+        }
         // Race stage 2: a small-state probe, then the paper's engine
         // under constant caps, ahead of the LP (see the module docs for
         // the order).
-        let capped = if self.engine == Engine::Race {
-            match run_schedule_stage(
+        if self.engine == Engine::Race {
+            if let Some((verdict, stage, winner)) = run_schedule_stage(
                 artifacts,
                 self.property,
                 &self.budget,
                 self.unfold_threads,
                 &guard,
             ) {
-                Some((verdict, mut report, winner)) if !verdict.is_unknown() => {
-                    report.engine = self.engine.name();
+                fold_stage(report, stage);
+                if !verdict.is_unknown() {
                     report.winner = Some(winner);
-                    report.structure = structure_summary;
-                    return Ok(CheckRun { verdict, report });
+                    return Ok(verdict);
                 }
-                abstained => abstained.map(|(_, report, _)| report),
             }
-        } else {
-            None
-        };
-        let lint_summary = if self.prelint {
+        }
+        if self.prelint {
             // The lint stage polls the check's guard like the engines
             // do: a tightly budgeted job gets an immediate LP
             // abstention instead of a lint pass that outlives its
             // deadline, and a cancellation (a hung-job watchdog, a
             // shutdown sweep) interrupts a long exact-arithmetic solve
             // mid-flight. Partial reports are never cached either way.
-            let report = artifacts.lint_with(&lint_options(&guard));
-            let summary = LintSummary {
-                proved: false,
-                errors: report.errors() as u64,
-                warnings: report.warnings() as u64,
-                usc_proved: report.proofs.usc_proved,
-                all_consistent: report.proofs.all_consistent,
-            };
+            let lint = artifacts.lint_with(&lint_options(&guard));
             // USC ⊇ CSC conflicts: a USC proof covers both properties.
             // Normalcy has no LP relaxation yet.
             let proved = match self.property {
-                Property::Usc | Property::Csc => report.proofs.usc_proved,
+                Property::Usc | Property::Csc => lint.proofs.usc_proved,
                 Property::Normalcy => false,
             };
+            report.lint = Some(LintSummary {
+                proved,
+                errors: lint.errors() as u64,
+                warnings: lint.warnings() as u64,
+                usc_proved: lint.proofs.usc_proved,
+                all_consistent: lint.proofs.all_consistent,
+            });
             if proved {
-                let mut rr = ResourceReport::empty(self.engine.name());
-                rr.winner = Some("lint");
-                rr.elapsed = start.elapsed();
-                rr.prefix_events_built = Some(0);
-                rr.lint = Some(LintSummary {
-                    proved: true,
-                    ..summary
-                });
-                rr.structure = structure_summary;
-                if let Some(stage) = &capped {
-                    fold_capped_stage(&mut rr, stage);
-                }
-                return Ok(CheckRun {
-                    verdict: Verdict::Holds,
-                    report: rr,
-                });
+                report.winner = Some("lint");
+                report.elapsed = start.elapsed();
+                report.prefix_events_built.get_or_insert(0);
+                return Ok(Verdict::Holds);
             }
-            Some(summary)
-        } else {
-            None
-        };
-        let mut run = dispatch(
+        }
+        let run = dispatch(
             artifacts,
             self.property,
             self.engine,
@@ -438,13 +432,8 @@ impl<'a> CheckRequest<'a> {
             self.unfold_threads,
             &guard,
         )?;
-        if let Some(stage) = &capped {
-            run.report.elapsed += stage.elapsed;
-            fold_capped_stage(&mut run.report, stage);
-        }
-        run.report.lint = lint_summary;
-        run.report.structure = structure_summary;
-        Ok(run)
+        fold_stage(report, run.report);
+        Ok(run.verdict)
     }
 
     /// Dispatches the check and collapses the verdict to the classic
@@ -485,7 +474,6 @@ fn dispatch(
         Engine::UnfoldingIlp => run_unfolding(artifacts, property, budget, unfold_threads, guard),
         Engine::ExplicitStateGraph => run_explicit(artifacts, property, budget, guard),
         Engine::SymbolicBdd => run_symbolic(artifacts, property, budget, guard),
-        Engine::Portfolio => run_portfolio(artifacts, property, budget, unfold_threads, guard),
         Engine::Race => run_race(artifacts, property, budget, unfold_threads, guard),
         Engine::Cegar => run_cegar(artifacts, property, budget, guard),
     }));
@@ -501,13 +489,9 @@ fn dispatch(
 
 /// Projects a full structure report onto the compact summary carried
 /// by [`ResourceReport::structure`].
-fn summarize_structure(report: &lint::StructureReport) -> StructureSummary {
+fn summarize_structure(report: &lint::StructureReport, proved: bool) -> StructureSummary {
     StructureSummary {
-        marked_graph: report.classes.marked_graph,
-        state_machine: report.classes.state_machine,
-        free_choice: report.classes.free_choice,
-        extended_free_choice: report.classes.extended_free_choice,
-        reduced_asymmetric_choice: report.classes.reduced_asymmetric_choice,
+        classes: report.classes,
         exact: matches!(
             report.concurrency.level(),
             lint::Approximation::ExactForLiveFreeChoice
@@ -515,7 +499,7 @@ fn summarize_structure(report: &lint::StructureReport) -> StructureSummary {
         concurrent_place_pairs: report.concurrency.concurrent_place_pairs() as u64,
         locked_signal_pairs: report.lock.locked_pairs() as u64,
         signal_pairs: report.lock.total_pairs() as u64,
-        proved: false,
+        proved,
     }
 }
 
@@ -713,7 +697,7 @@ fn run_schedule_stage(
         ..budget.clone()
     };
     let capped = Budget {
-        max_events: tighter(budget.max_events, PORTFOLIO_SMALL_PREFIX),
+        max_events: tighter(budget.max_events, SCHEDULE_EVENTS),
         max_solver_steps: tighter(budget.max_solver_steps, SCHEDULE_SOLVER_STEPS),
         ..budget.clone()
     };
@@ -921,48 +905,6 @@ fn run_cegar(
     Ok((verdict, report))
 }
 
-fn run_portfolio(
-    artifacts: &Artifacts,
-    property: Property,
-    budget: &Budget,
-    unfold_threads: Option<usize>,
-    guard: &StopGuard,
-) -> EngineOutcome {
-    let start = Instant::now();
-    let (verdict, mut report) = run_unfolding(artifacts, property, budget, unfold_threads, guard)?;
-    report.engine = "portfolio";
-    if !verdict.is_unknown() {
-        report.winner = Some("unfolding-ilp");
-        return Ok((verdict, report));
-    }
-    // Graceful degradation: if the prefix stayed small (whether or
-    // not it was completed), the state space is plausibly small too —
-    // retry with the explicit oracle under the *same* guard, capping
-    // states so an event-capped run cannot degrade into an unbounded
-    // enumeration.
-    let prefix_small = report
-        .prefix_events
-        .is_some_and(|n| n <= PORTFOLIO_SMALL_PREFIX);
-    if prefix_small {
-        let fallback_budget = Budget {
-            max_states: Some(budget.max_states.unwrap_or(PORTFOLIO_FALLBACK_STATES)),
-            ..budget.clone()
-        };
-        let (fallback_verdict, fallback_report) =
-            run_explicit(artifacts, property, &fallback_budget, guard)?;
-        report.states = fallback_report.states;
-        report.elapsed = start.elapsed();
-        if !fallback_verdict.is_unknown() {
-            report.winner = Some("explicit");
-            return Ok((fallback_verdict, report));
-        }
-    }
-    report.elapsed = start.elapsed();
-    // Keep the primary engine's exhaustion reason: it describes the
-    // budget dimension the caller should raise first.
-    Ok((verdict, report))
-}
-
 /// The four engines a [`Engine::Race`] runs concurrently.
 const RACERS: [Engine; 4] = [
     Engine::UnfoldingIlp,
@@ -1020,11 +962,8 @@ fn run_race(
         .iter()
         .map(|_| Arc::new(AtomicBool::new(false)))
         .collect();
-    // The explicit racer gets the portfolio's default state cap so an
-    // uncapped race cannot degrade into an unbounded enumeration
-    // while the other engines are still working.
     let explicit_budget = Budget {
-        max_states: Some(budget.max_states.unwrap_or(PORTFOLIO_FALLBACK_STATES)),
+        max_states: Some(budget.max_states.unwrap_or(RACE_EXPLICIT_STATES)),
         ..budget.clone()
     };
     let (tx, rx) = mpsc::channel::<(usize, Result<EngineOutcome, String>)>();
@@ -1082,7 +1021,7 @@ fn run_race(
         let engine = RACERS[i];
         match slot {
             Some(Ok(Ok((verdict, engine_report)))) => {
-                merge_racer_report(&mut report, &engine_report);
+                merge_report(&mut report, engine_report);
                 if first_conclusive == Some(i) {
                     // The recv loop recorded whose conclusive verdict
                     // arrived first, so the win (and the per-engine
@@ -1126,34 +1065,38 @@ fn run_race(
     Ok((Verdict::Unknown(ExhaustionReason::Cancelled), report))
 }
 
-/// Accounts for the abstained capped stage of [`Engine::Race`] in the
-/// report of the stage that answered after it: the prefix events it
-/// built count towards the check's, and its counters fill the fields
-/// the later stage left empty.
-fn fold_capped_stage(report: &mut ResourceReport, stage: &ResourceReport) {
-    report.prefix_events_built = match (report.prefix_events_built, stage.prefix_events_built) {
+/// Folds the report of a stage that ran into the check's report. The
+/// stage's time adds to the engine time, and its counters take
+/// precedence over an earlier stage's: they describe the work the check
+/// went on with (the race's prefix, say, not stage 2's truncated one).
+fn fold_stage(report: &mut ResourceReport, stage: ResourceReport) {
+    let earlier = std::mem::replace(report, stage);
+    report.engine = earlier.engine;
+    report.elapsed += earlier.elapsed;
+    merge_report(report, earlier);
+}
+
+/// Folds one report's counters into another: a field-wise union that
+/// keeps the counters `aggregate` already has, except that
+/// `prefix_events_built` is summed, since every stage and racer built
+/// its own events. Each racer's counters belong to exactly one engine,
+/// so for the race the order does not matter.
+fn merge_report(aggregate: &mut ResourceReport, from: ResourceReport) {
+    aggregate.prefix_events_built = match (aggregate.prefix_events_built, from.prefix_events_built)
+    {
         (Some(a), Some(b)) => Some(a + b),
         (a, b) => a.or(b),
     };
-    merge_racer_report(report, stage);
-}
-
-/// Folds one racer's counters into the aggregate race report. Each
-/// counter belongs to exactly one engine, so the merge is a
-/// field-wise union.
-fn merge_racer_report(aggregate: &mut ResourceReport, racer: &ResourceReport) {
-    aggregate.prefix_events = aggregate.prefix_events.or(racer.prefix_events);
-    aggregate.prefix_events_built = aggregate.prefix_events_built.or(racer.prefix_events_built);
-    aggregate.prefix_conditions = aggregate.prefix_conditions.or(racer.prefix_conditions);
-    aggregate.solver_steps = aggregate.solver_steps.or(racer.solver_steps);
-    aggregate.states = aggregate.states.or(racer.states);
-    aggregate.bdd_nodes = aggregate.bdd_nodes.or(racer.bdd_nodes);
-    if aggregate.bdd.is_none() {
-        aggregate.bdd = racer.bdd.clone();
-    }
-    aggregate.cegar = aggregate.cegar.or(racer.cegar);
-    aggregate.unfold = aggregate.unfold.or(racer.unfold);
-    aggregate.structure = aggregate.structure.or(racer.structure);
+    aggregate.prefix_events = aggregate.prefix_events.or(from.prefix_events);
+    aggregate.prefix_conditions = aggregate.prefix_conditions.or(from.prefix_conditions);
+    aggregate.solver_steps = aggregate.solver_steps.or(from.solver_steps);
+    aggregate.states = aggregate.states.or(from.states);
+    aggregate.bdd_nodes = aggregate.bdd_nodes.or(from.bdd_nodes);
+    aggregate.bdd = aggregate.bdd.take().or(from.bdd);
+    aggregate.cegar = aggregate.cegar.or(from.cegar);
+    aggregate.unfold = aggregate.unfold.or(from.unfold);
+    aggregate.lint = aggregate.lint.or(from.lint);
+    aggregate.structure = aggregate.structure.or(from.structure);
 }
 
 #[cfg(test)]
@@ -1163,15 +1106,6 @@ mod tests {
     use stg::gen::duplex::dup_4ph;
     use stg::gen::vme::{vme_read, vme_read_csc_resolved};
     use stg::StateGraph;
-
-    const ENGINES: [Engine; 6] = [
-        Engine::UnfoldingIlp,
-        Engine::ExplicitStateGraph,
-        Engine::SymbolicBdd,
-        Engine::Cegar,
-        Engine::Portfolio,
-        Engine::Race,
-    ];
 
     #[test]
     fn engines_agree_on_usc_and_csc() {
@@ -1183,7 +1117,7 @@ mod tests {
             counterflow_sym(2, 2),
         ] {
             for property in [Property::Usc, Property::Csc] {
-                let verdicts: Vec<bool> = ENGINES
+                let verdicts: Vec<bool> = Engine::ALL
                     .iter()
                     .map(|&e| {
                         CheckRequest::new(&stg, property)
@@ -1205,7 +1139,7 @@ mod tests {
         // Cegar is excluded: normalcy has no state-equation encoding,
         // so it reports `Unsupported` — checked separately below.
         for stg in [vme_read_csc_resolved(), counterflow_sym(2, 2)] {
-            let verdicts: Vec<bool> = ENGINES
+            let verdicts: Vec<bool> = Engine::ALL
                 .iter()
                 .filter(|&&e| e != Engine::Cegar)
                 .map(|&e| {
@@ -1355,33 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_degrades_to_explicit_on_solver_exhaustion() {
-        // A solver budget of 1 propagation makes the ILP engine give
-        // up instantly; the prefix is tiny, so the portfolio falls
-        // back to the oracle and still returns a definite verdict.
-        let stg = vme_read();
-        let budget = Budget::unlimited().with_max_solver_steps(1);
-        let ilp = CheckRequest::new(&stg, Property::Csc)
-            .engine(Engine::UnfoldingIlp)
-            .budget(budget.clone())
-            .run()
-            .unwrap();
-        assert_eq!(
-            ilp.verdict,
-            Verdict::Unknown(ExhaustionReason::SolverStepLimit(1))
-        );
-        let run = CheckRequest::new(&stg, Property::Csc)
-            .engine(Engine::Portfolio)
-            .budget(budget)
-            .run()
-            .unwrap();
-        assert_eq!(run.verdict.holds(), Some(false));
-        assert_eq!(run.report.engine, "portfolio");
-        assert!(run.report.prefix_events.is_some(), "primary phase counted");
-        assert!(run.report.states.is_some(), "fallback phase counted");
-    }
-
-    #[test]
     fn race_is_conclusive_and_reports_a_winner() {
         assert_race_send_bounds();
         for (stg, expected) in [(vme_read(), false), (counterflow_sym(2, 2), true)] {
@@ -1458,7 +1365,7 @@ mod tests {
         // Big enough that no engine concludes before the flip lands,
         // in debug or release builds.
         let stg = counterflow_sym(10, 3);
-        for engine in ENGINES {
+        for engine in Engine::ALL {
             let token = CancelToken::new();
             let budget = Budget::unlimited().with_cancel(token.clone());
             let flipper = {
@@ -1491,24 +1398,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_stays_unknown_when_every_phase_is_exhausted() {
-        let stg = counterflow_sym(2, 2);
-        // Event cap trips the primary; the 1-state cap trips the
-        // fallback. The reported reason is the primary's.
-        let budget = Budget::unlimited().with_max_events(2).with_max_states(1);
-        let run = CheckRequest::new(&stg, Property::Csc)
-            .engine(Engine::Portfolio)
-            .budget(budget)
-            .run()
-            .unwrap();
-        assert_eq!(
-            run.verdict,
-            Verdict::Unknown(ExhaustionReason::EventLimit(2))
-        );
-        assert!(run.report.states.is_some(), "partial fallback stats kept");
-    }
-
-    #[test]
     fn prelint_short_circuits_all_engines_on_a_proved_family() {
         use stg::gen::counterflow::counterflow_sym;
 
@@ -1522,7 +1411,6 @@ mod tests {
             Engine::UnfoldingIlp,
             Engine::ExplicitStateGraph,
             Engine::SymbolicBdd,
-            Engine::Portfolio,
             Engine::Race,
         ] {
             for property in [Property::Usc, Property::Csc] {
@@ -1598,7 +1486,7 @@ mod tests {
             assert_eq!(run.report.prefix_events_built, Some(0));
             let s = run.report.structure.expect("structure block");
             assert!(s.proved);
-            assert!(s.state_machine);
+            assert!(s.classes.state_machine);
         }
         assert!(!artifacts.has_prefix(), "no engine stage was built");
     }
@@ -1643,7 +1531,7 @@ mod tests {
         assert_ne!(run.report.winner, Some("structure"));
         let s = run.report.structure.expect("summary attached");
         assert!(!s.proved);
-        assert!(!s.state_machine);
+        assert!(!s.classes.state_machine);
     }
 
     #[test]

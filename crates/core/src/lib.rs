@@ -22,7 +22,7 @@
 //! * [`artifact`] — lazily-built, content-addressed artifact sets
 //!   (prefix + relations, state graph, symbolic encoding) shared
 //!   across engines, properties and threads, so checking USC then CSC
-//!   unfolds once and a racing portfolio hands all racers one
+//!   unfolds once and the race of [`Engine::Race`] hands all racers one
 //!   artifact set.
 //!
 //! # Examples

@@ -156,7 +156,7 @@ impl Budget {
 
     /// Builds the [`StopGuard`] engines poll, anchoring the deadline
     /// to *now*. `CheckRequest::run` calls this exactly once per
-    /// invocation, so a portfolio's phases share one deadline.
+    /// invocation, so every stage of a check shares one deadline.
     pub fn guard(&self) -> StopGuard {
         StopGuard::new(
             self.cancel.as_ref().map(CancelToken::flag),
@@ -281,11 +281,14 @@ impl fmt::Display for Verdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceReport {
     /// Engine that produced the verdict (`"unfolding-ilp"`,
-    /// `"explicit"`, `"symbolic"`, `"portfolio"`, `"race"`).
+    /// `"explicit"`, `"symbolic"`, `"cegar"`, `"race"`).
     pub engine: &'static str,
-    /// For composite engines (`"portfolio"`, `"race"`): the member
-    /// engine or stage whose verdict was adopted, `None` when no member
-    /// was conclusive. Single engines leave it `None`.
+    /// The stage that answered: `"structure"` or `"lint"` when that
+    /// stage decided the check before any engine ran, and for `"race"`
+    /// the schedule stage or racer whose verdict was adopted
+    /// (`"explicit"`, `"unfolding-ilp"`, `"symbolic"`, `"cegar"`).
+    /// `None` when an engine other than `"race"` answered, or when no
+    /// stage was conclusive.
     pub winner: Option<&'static str>,
     /// Whether the four-way race of [`crate::Engine::Race`] ran, i.e.
     /// its racers were started. `false` when an earlier stage of the
@@ -346,16 +349,9 @@ pub struct ResourceReport {
 /// [`ResourceReport`] (see `lint::structure`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StructureSummary {
-    /// Every place has at most one producer and one consumer.
-    pub marked_graph: bool,
-    /// Every transition has exactly one input and one output place.
-    pub state_machine: bool,
-    /// No shared place feeds a synchronising transition.
-    pub free_choice: bool,
-    /// Places sharing a consumer share all of them.
-    pub extended_free_choice: bool,
-    /// Wimmel's reduced asymmetric choice.
-    pub reduced_asymmetric_choice: bool,
+    /// The net's structural classes; `classes.name()` is the most
+    /// specific one.
+    pub classes: lint::structure::Classes,
     /// The structural concurrency relation is exact provided the net
     /// is live (true exactly when the net is free-choice).
     pub exact: bool,
@@ -369,26 +365,6 @@ pub struct StructureSummary {
     /// alone: the engines were short-circuited and
     /// `prefix_events_built` is 0.
     pub proved: bool,
-}
-
-impl StructureSummary {
-    /// The most specific detected class, mirroring
-    /// `lint::structure::Classes::name`.
-    pub fn class(&self) -> &'static str {
-        if self.marked_graph {
-            "marked-graph"
-        } else if self.state_machine {
-            "state-machine"
-        } else if self.free_choice {
-            "free-choice"
-        } else if self.extended_free_choice {
-            "extended-free-choice"
-        } else if self.reduced_asymmetric_choice {
-            "reduced-asymmetric-choice"
-        } else {
-            "general"
-        }
-    }
 }
 
 /// Summary of a prelint pass attached to a [`ResourceReport`].

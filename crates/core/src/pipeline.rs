@@ -251,12 +251,12 @@ pub struct Pipeline<'a> {
 
 impl<'a> Pipeline<'a> {
     /// A pipeline over `stg` with the default engine
-    /// ([`Engine::Portfolio`]), an unlimited budget, and the lint
+    /// ([`Engine::UnfoldingIlp`]), an unlimited budget, and the lint
     /// stage enabled.
     pub fn new(stg: &'a Stg) -> Self {
         Pipeline {
             stg,
-            engine: Engine::Portfolio,
+            engine: Engine::UnfoldingIlp,
             budget: Budget::unlimited(),
             artifacts: None,
             lint: true,

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use server::protocol::engine_from_str;
+use server::protocol::{engine_from_str, engine_names};
 use server::{spawn, ServerConfig};
 
 /// Set from the signal handler; polled by the main loop.
@@ -54,7 +54,7 @@ fn usage() -> ! {
          \n\
          --addr HOST:PORT      listen address (default 127.0.0.1:7570; port 0 = ephemeral)\n\
          --workers N           worker threads (default 4)\n\
-         --engine NAME         default engine: unfolding|explicit|symbolic|portfolio|race\n\
+         --engine NAME         default engine: {}\n\
          \u{20}                     (default race)\n\
          --timeout-ms MS       default per-job wall-clock budget when a job sets none\n\
          --max-queue N         reject checks beyond N queued jobs with the `queue_full`\n\
@@ -71,7 +71,8 @@ fn usage() -> ! {
          \u{20}                     0 disables caching)\n\
          --unfold-threads N    threads for parallel possible-extensions discovery per\n\
          \u{20}                     prefix build (default serial; 0 = auto-detect); the\n\
-         \u{20}                     prefix is bit-identical for every setting"
+         \u{20}                     prefix is bit-identical for every setting",
+        engine_names()
     );
     std::process::exit(2);
 }

@@ -1,5 +1,5 @@
-//! A blocking NDJSON client for `stgd`, used by `stgcheck --server`,
-//! the bench harness's `server-bench` mode and the integration tests.
+//! A blocking NDJSON client for `stgd`, used by `stgcheck --server`
+//! and the integration tests.
 //!
 //! The client is deliberately thin: it frames request lines, parses
 //! response lines, and surfaces the protocol's `id` correlation so a
@@ -355,8 +355,8 @@ impl RetryPolicy {
 }
 
 /// Counters describing how one retried operation actually went, for
-/// harnesses (the bench's `server-bench` mode) that report resilience
-/// behaviour alongside throughput.
+/// harnesses (the chaos suite) that report resilience behaviour
+/// alongside throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Attempts performed (1 = first try succeeded).

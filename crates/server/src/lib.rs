@@ -10,13 +10,13 @@
 //! and the derived next-state equations — or the stable
 //! `resolve_failed` code. Jobs are scheduled onto a fixed worker pool
 //! ([`server`]), and by default each worker decides its job with the
-//! racing parallel portfolio (`Engine::Race`) — the unfolding+ILP,
-//! explicit and symbolic engines on separate threads sharing one
-//! absolute deadline, first conclusive verdict wins, losers
-//! cancelled.
+//! `Engine::Race` schedule under one absolute deadline: the structure
+//! fast path, the paper's unfolding+ILP engine under small caps, the
+//! prelint LP, and only then a race of the base engines on separate
+//! threads, first conclusive verdict wins, losers cancelled.
 //!
 //! The [`client`] module is the matching blocking client, used by
-//! `stgcheck --server`, the bench harness and the integration tests.
+//! `stgcheck --server`, `stgbench` and the integration tests.
 //!
 //! The service is built to stay up under abuse and partial failure:
 //! admission is bounded globally and per client with load-shedding

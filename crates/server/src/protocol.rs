@@ -40,8 +40,7 @@ pub struct CheckRequest {
     pub stg_g: String,
     /// The property to decide.
     pub property: Property,
-    /// Engine override; `None` uses the server default (the racing
-    /// portfolio).
+    /// Engine override; `None` uses the server default (`race`).
     pub engine: Option<Engine>,
     /// Per-job resource budget.
     pub budget: BudgetSpec,
@@ -57,7 +56,7 @@ pub struct SynthesizeRequest {
     /// Cap on inserted state signals; `None` uses the server default.
     pub max_signals: Option<usize>,
     /// Engine override for the check/re-check stages; `None` uses the
-    /// server default (the racing portfolio).
+    /// server default (`race`).
     pub engine: Option<Engine>,
     /// Per-job resource budget.
     pub budget: BudgetSpec,
@@ -113,18 +112,20 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Parses the engine name used on the wire and in `stgcheck
-/// --engine`.
+/// Parses the engine name used on the wire, in `stgd --engine` and in
+/// `stgcheck --engine`: an [`Engine::name`], or `unfolding` for the
+/// paper's engine.
 pub fn engine_from_str(name: &str) -> Option<Engine> {
-    match name {
-        "unfolding" | "unfolding-ilp" => Some(Engine::UnfoldingIlp),
-        "explicit" => Some(Engine::ExplicitStateGraph),
-        "symbolic" => Some(Engine::SymbolicBdd),
-        "portfolio" => Some(Engine::Portfolio),
-        "race" => Some(Engine::Race),
-        "cegar" => Some(Engine::Cegar),
-        _ => None,
+    if name == "unfolding" {
+        return Some(Engine::UnfoldingIlp);
     }
+    Engine::ALL.into_iter().find(|engine| engine.name() == name)
+}
+
+/// The accepted engine names, `|`-separated, for usage and error
+/// messages.
+pub fn engine_names() -> String {
+    Engine::ALL.map(Engine::name).join("|")
 }
 
 /// Parses the property name used on the wire.
@@ -187,20 +188,7 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
                     property_from_str(p)
                         .ok_or_else(|| fail(format!("check: unknown property `{p}`")))
                 })?;
-            let engine = match value.get("engine").filter(|v| !v.is_null()) {
-                None => None,
-                Some(v) => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| fail("check: `engine` must be a string".to_owned()))?;
-                    Some(engine_from_str(name).ok_or_else(|| {
-                        fail(format!(
-                            "check: unknown engine `{name}` \
-                             (unfolding|explicit|symbolic|portfolio|race|cegar)"
-                        ))
-                    })?)
-                }
-            };
+            let engine = decode_engine(&value, &fail)?;
             let budget = decode_budget(value.get("budget"), &fail)?;
             Ok(Request::Check(CheckRequest {
                 id,
@@ -250,10 +238,7 @@ fn decode_engine(
                 .as_str()
                 .ok_or_else(|| fail("`engine` must be a string".to_owned()))?;
             Ok(Some(engine_from_str(name).ok_or_else(|| {
-                fail(format!(
-                    "unknown engine `{name}` \
-                     (unfolding|explicit|symbolic|portfolio|race|cegar)"
-                ))
+                fail(format!("unknown engine `{name}` ({})", engine_names()))
             })?))
         }
     }
@@ -705,17 +690,23 @@ fn encode_report(report: &ResourceReport) -> Value {
             match &report.structure {
                 None => Value::Null,
                 Some(s) => Value::Obj(vec![
-                    ("class".to_owned(), Value::from(s.class())),
-                    ("marked_graph".to_owned(), Value::from(s.marked_graph)),
-                    ("state_machine".to_owned(), Value::from(s.state_machine)),
-                    ("free_choice".to_owned(), Value::from(s.free_choice)),
+                    ("class".to_owned(), Value::from(s.classes.name())),
+                    (
+                        "marked_graph".to_owned(),
+                        Value::from(s.classes.marked_graph),
+                    ),
+                    (
+                        "state_machine".to_owned(),
+                        Value::from(s.classes.state_machine),
+                    ),
+                    ("free_choice".to_owned(), Value::from(s.classes.free_choice)),
                     (
                         "extended_free_choice".to_owned(),
-                        Value::from(s.extended_free_choice),
+                        Value::from(s.classes.extended_free_choice),
                     ),
                     (
                         "reduced_asymmetric_choice".to_owned(),
-                        Value::from(s.reduced_asymmetric_choice),
+                        Value::from(s.classes.reduced_asymmetric_choice),
                     ),
                     ("exact".to_owned(), Value::from(s.exact)),
                     (
@@ -874,6 +865,24 @@ mod tests {
         assert!(!line.contains('\n'), "NDJSON framing");
         let decoded = decode_request(&line).unwrap();
         assert_eq!(decoded, Request::Check(request));
+    }
+
+    #[test]
+    fn engine_names_round_trip_and_portfolio_is_rejected() {
+        for engine in Engine::ALL {
+            assert_eq!(engine_from_str(engine.name()), Some(engine));
+        }
+        assert_eq!(engine_from_str("unfolding"), Some(Engine::UnfoldingIlp));
+        assert_eq!(engine_from_str("portfolio"), None);
+        let line = r#"{"op":"check","id":"p","stg":"","property":"csc","engine":"portfolio"}"#;
+        let err = decode_request(line).unwrap_err();
+        let listed = err
+            .message
+            .split_once('(')
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .expect("the message lists the engines");
+        let names: Vec<&str> = listed.split('|').collect();
+        assert_eq!(names, Engine::ALL.map(Engine::name));
     }
 
     #[test]

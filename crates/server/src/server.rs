@@ -15,8 +15,8 @@
 //!
 //! Workers decide each job with [`csc_core::CheckRequest`] over an
 //! [`ArtifactCache`] keyed by canonical STG hash, so repeated nets
-//! skip prefix construction entirely — by default with the racing
-//! parallel portfolio — under the job's own [`csc_core::Budget`] plus
+//! skip prefix construction entirely — by default with the
+//! `Engine::Race` schedule — under the job's own [`csc_core::Budget`] plus
 //! a per-job [`CancelToken`] the shutdown path flips. A worker that
 //! *panics* (engine panics are already contained by `catch_unwind`
 //! inside `csc_core`; this guards everything else, including injected

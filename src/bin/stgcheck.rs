@@ -20,9 +20,10 @@
 //! stgcheck gen <family> [params] [--to-g]    emit a benchmark model
 //! ```
 //!
-//! Engines: `unfolding` (default), `explicit`, `symbolic`,
-//! `portfolio` (sequential phases), `race` (parallel, first
-//! conclusive engine wins). The `usc`/`csc` commands also accept
+//! Engines: `unfolding` (default; also `unfolding-ilp`), `explicit`,
+//! `symbolic`, `cegar`, `race` (the service's ordered schedule:
+//! structure, then the paper's engine under caps, then the LP, then a
+//! race of the base engines). The `usc`/`csc` commands also accept
 //! budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
 //! code 3. Commands that build a prefix (`unfold`, `usc`, `csc`,
@@ -33,7 +34,7 @@
 //!
 //! With `--server HOST:PORT` the `usc`/`csc`/`synthesize` commands
 //! ship the job to a running `stgd` instead of working in-process;
-//! the engine default is then the server's (the racing portfolio).
+//! the engine default is then the server's (`race`).
 //!
 //! The `synthesize` command runs the whole synthesis pipeline of
 //! `resolve::synthesize`: lint gate, CSC check, state-signal
@@ -76,7 +77,7 @@ use stg_coding_conflicts::csc_core::{
     ResourceReport, Verdict,
 };
 use stg_coding_conflicts::lint;
-use stg_coding_conflicts::server::protocol::{engine_from_str, BudgetSpec};
+use stg_coding_conflicts::server::protocol::{engine_from_str, engine_names, BudgetSpec};
 use stg_coding_conflicts::server::{Client, RetryPolicy};
 use stg_coding_conflicts::stg::{self, Stg};
 use stg_coding_conflicts::unfolding::{self, OrderStrategy, Prefix, UnfoldOptions};
@@ -93,12 +94,14 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: stgcheck <lint|structure|info|unfold|usc|csc|check|normalcy|deadlock|report|synth|\
-     resolve|synthesize|dot|gen> ... \
-     [--engine unfolding|explicit|symbolic|cegar|portfolio|race] [--timeout-ms N] [--max-events N] \
-     [--unfold-threads N] [--max-signals N] [--server HOST:PORT] [--format human|json] [--no-lp] \
-     [--to-g]"
-        .to_owned()
+    format!(
+        "usage: stgcheck <lint|structure|info|unfold|usc|csc|check|normalcy|deadlock|report|synth|\
+         resolve|synthesize|dot|gen> ... \
+         [--engine {}] [--timeout-ms N] [--max-events N] \
+         [--unfold-threads N] [--max-signals N] [--server HOST:PORT] [--format human|json] \
+         [--no-lp] [--to-g]",
+        engine_names()
+    )
 }
 
 /// Returns the process exit code (0 ok, 1 conflict, 3 inconclusive).
@@ -231,7 +234,7 @@ fn structure_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, Stri
 }
 
 /// Parses `--engine NAME`; `None` when the flag is absent (the local
-/// default is unfolding, the server default is the racing portfolio).
+/// default is unfolding, the server default is `race`).
 fn engine_flag(flags: &[String]) -> Result<Option<Engine>, String> {
     match flags.iter().position(|f| f == "--engine") {
         None => Ok(None),
@@ -241,8 +244,9 @@ fn engine_flag(flags: &[String]) -> Result<Option<Engine>, String> {
             .map(Some)
             .ok_or_else(|| {
                 format!(
-                    "bad --engine {} (unfolding|explicit|symbolic|cegar|portfolio|race)",
-                    flags.get(i + 1).map_or("<missing>", String::as_str)
+                    "bad --engine {} ({})",
+                    flags.get(i + 1).map_or("<missing>", String::as_str),
+                    engine_names()
                 )
             }),
     }

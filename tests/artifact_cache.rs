@@ -10,11 +10,10 @@ use stg_coding_conflicts::stg::gen::counterflow::counterflow_sym;
 use stg_coding_conflicts::stg::gen::vme::{vme_read, vme_read_csc_resolved};
 use stg_coding_conflicts::stg::Stg;
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::UnfoldingIlp,
     Engine::ExplicitStateGraph,
     Engine::SymbolicBdd,
-    Engine::Portfolio,
     Engine::Race,
 ];
 

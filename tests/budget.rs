@@ -1,7 +1,7 @@
 //! Budget semantics: exhausted engines must answer `Unknown` — never
 //! a wrong `Holds`/`Violated` — within the wall-clock allowance, and
-//! the portfolio must still match the explicit oracle when resources
-//! are plentiful.
+//! the schedule `stgd` runs must still match the expected verdicts
+//! when resources are plentiful.
 
 use std::time::{Duration, Instant};
 
@@ -11,12 +11,11 @@ use stg_coding_conflicts::csc_core::{
 };
 use stg_coding_conflicts::stg::gen::counterflow::{counterflow_asym, counterflow_sym};
 
-const ALL_ENGINES: [Engine; 6] = [
+const ALL_ENGINES: [Engine; 5] = [
     Engine::UnfoldingIlp,
     Engine::ExplicitStateGraph,
     Engine::SymbolicBdd,
     Engine::Cegar,
-    Engine::Portfolio,
     Engine::Race,
 ];
 
@@ -142,15 +141,20 @@ fn symbolic_respects_deadline_on_adversarial_input() {
     assert!(run.report.elapsed >= deadline);
 }
 
-/// With a generous budget, the portfolio reproduces the explicit
-/// oracle's CSC verdict on every Table 1 roster model.
+/// With a generous budget, the schedule `stgd` runs (`Race` with the
+/// prelint and structure stages) reproduces the expected CSC verdict
+/// on every Table 1 roster model, and answers each one before the LP:
+/// from the structure pass, the small-state probe or the capped
+/// unfolding stage, with no racer started.
 #[test]
-fn portfolio_matches_expected_csc_on_table1_roster() {
+fn served_schedule_matches_expected_csc_on_table1_roster() {
     let budget = Budget::unlimited().with_deadline(Duration::from_secs(120));
     for model in models() {
         let run = CheckRequest::new(&model.stg, Property::Csc)
-            .engine(Engine::Portfolio)
+            .engine(Engine::Race)
             .budget(budget.clone())
+            .prelint(true)
+            .structure(true)
             .run()
             .unwrap();
         assert_eq!(
@@ -160,6 +164,17 @@ fn portfolio_matches_expected_csc_on_table1_roster() {
             model.name,
             run.verdict
         );
+        assert!(
+            matches!(
+                run.report.winner,
+                Some("structure" | "explicit" | "unfolding-ilp")
+            ),
+            "{}: won by {:?}",
+            model.name,
+            run.report.winner
+        );
+        assert_eq!(run.report.lint, None, "{}: the LP ran", model.name);
+        assert!(!run.report.raced, "{}: the race ran", model.name);
     }
 }
 

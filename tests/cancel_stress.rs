@@ -1,5 +1,5 @@
 //! Concurrent-cancellation stress: a `CancelToken` flipped mid-check
-//! must stop every engine — including the racing portfolio, whose
+//! must stop every engine — including the race, whose
 //! four racers each derive their own guard from the same token —
 //! with `Unknown(Cancelled)` within a bounded delay.
 //!
@@ -37,7 +37,7 @@ fn adversarial_input(engine: Engine) -> Stg {
         Engine::Cegar => counterflow_sym(4, 4),
         // All four racers must be slow, or one would win before the
         // cancel fires.
-        Engine::Portfolio | Engine::Race => counterflow_asym(8, 2),
+        Engine::Race => counterflow_asym(8, 2),
     }
 }
 
@@ -83,7 +83,7 @@ fn mid_flight_cancel_stops_each_engine_within_bounded_delay() {
     }
 }
 
-/// The racing portfolio propagates one external cancel into all three
+/// The race propagates one external cancel into all four
 /// racer threads: the race as a whole must come back cancelled, not
 /// hang on a racer that missed the flag.
 #[test]

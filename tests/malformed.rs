@@ -82,7 +82,7 @@ fn every_malformed_fixture_has_a_stable_code_and_span() {
 }
 
 /// The conflict-free fixture is the other half of the contract: the
-/// LP relaxation proves USC from the file alone, all six engines
+/// LP relaxation proves USC from the file alone, every engine
 /// short-circuit with the `lint_proved` marker, and the proved
 /// verdict is differentially identical to what the explicit engine
 /// computes by exhaustive enumeration with the prelint stage off.
@@ -100,7 +100,6 @@ fn lint_proved_fixture_short_circuits_all_six_engines() {
         Engine::ExplicitStateGraph,
         Engine::SymbolicBdd,
         Engine::Cegar,
-        Engine::Portfolio,
         Engine::Race,
     ] {
         let run = CheckRequest::new(&stg, Property::Usc)

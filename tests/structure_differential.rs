@@ -204,15 +204,14 @@ fn random_stgs_structural_concurrency_is_sound() {
 }
 
 /// The conflict-free Table 1 families keep their verdicts across all
-/// six engines when the structure pass is enabled on the request —
+/// five engines when the structure pass is enabled on the request —
 /// class gating reroutes work, never answers.
 #[test]
 fn roster_conflict_free_verdicts_survive_structure_gating() {
-    const ENGINES: [Engine; 6] = [
+    const ENGINES: [Engine; 5] = [
         Engine::UnfoldingIlp,
         Engine::ExplicitStateGraph,
         Engine::SymbolicBdd,
-        Engine::Portfolio,
         Engine::Race,
         Engine::Cegar,
     ];

@@ -128,12 +128,11 @@ fn mcmillan_prefixes_are_bit_identical_across_thread_counts() {
     }
 }
 
-const ENGINES: [Engine; 6] = [
+const ENGINES: [Engine; 5] = [
     Engine::UnfoldingIlp,
     Engine::ExplicitStateGraph,
     Engine::SymbolicBdd,
     Engine::Cegar,
-    Engine::Portfolio,
     Engine::Race,
 ];
 
