@@ -50,7 +50,7 @@ pub mod structure;
 pub use cuts::{blocking_trap, cut_basis, CutBasis};
 pub use diag::{classify_parse_error, Code, Diagnostic, Severity, Span};
 pub use ilp::{LpFeasibility, LpOptions};
-pub use relax::{prove as relaxation_proofs, Proofs};
+pub use relax::{prove as relaxation_proofs, safe_places as semiflow_safe_places, Proofs};
 pub use structure::{analyse as analyse_structure, Approximation, Classes, StructureReport};
 
 use stg::Stg;

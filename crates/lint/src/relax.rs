@@ -48,8 +48,11 @@ pub struct Proofs {
     pub consistent_signals: Vec<String>,
     /// Every signal with transitions was proved consistent.
     pub all_consistent: bool,
-    /// Places proved 1-safe by a P-semiflow through the initial
-    /// marking.
+    /// Places proved 1-safe by a minimal P-semiflow `w`: `p` counts
+    /// when `w(p) ≥ 1` and `⌊(w·M0)/w(p)⌋ ≤ 1`, since
+    /// `w(p)·M(p) ≤ w·M0` in every reachable marking `M`. A place
+    /// covered by a flow with `w·M0 = 0` is never marked and counts as
+    /// safe.
     pub safe_places: usize,
     /// Total places in the net.
     pub total_places: usize,
@@ -79,33 +82,41 @@ pub fn prove(stg: &Stg, lp: bool, lp_options: &LpOptions) -> Proofs {
     proofs
 }
 
-/// A place `p` covered by a P-semiflow `w` (with `w(p) ≥ 1`) whose
-/// initial weighted token count is 1 satisfies
-/// `w(p)·M(p) ≤ w·M = w·M0 = 1` in every reachable `M`, hence is
-/// 1-safe.
+/// Applies [`safe_places`] to the minimal-support P-semiflows. That
+/// loses no proof: every semiflow is a non-negative combination of
+/// them, so if each minimal `a` with `a(p) > 0` had `a·M0 ≥ 2·a(p)`,
+/// every `w` with `w(p) ≥ 1` would have `w·M0 ≥ 2`.
 fn semiflow_safeness(stg: &Stg, proofs: &mut Proofs) {
     let net = stg.net();
     let Some(flows) = p_semiflows(net, FarkasLimits::default()) else {
         return;
     };
+    let safe = safe_places(stg, &flows);
+    proofs.safe_places = safe.iter().filter(|&&s| s).count();
+    proofs.net_safe = proofs.safe_places == proofs.total_places && proofs.total_places > 0;
+}
+
+/// Per place, whether one of the P-semiflows `flows` proves it 1-safe
+/// from the initial marking, by the rule of [`Proofs::safe_places`].
+pub fn safe_places(stg: &Stg, flows: &[Vec<i64>]) -> Vec<bool> {
+    let net = stg.net();
     let m0 = stg.initial_marking();
     let mut safe = vec![false; net.num_places()];
-    for w in &flows {
-        let value: i64 = net
+    for w in flows {
+        // Weights are i64 and token counts u32, so the weighted token
+        // count cannot overflow i128.
+        let value: i128 = net
             .places()
-            .map(|p| w[p.index()] * i64::from(m0.tokens(p)))
+            .map(|p| i128::from(w[p.index()]) * i128::from(m0.tokens(p)))
             .sum();
-        if value != 1 {
-            continue;
-        }
         for p in net.places() {
-            if w[p.index()] >= 1 {
+            let weight = i128::from(w[p.index()]);
+            if weight >= 1 && value / weight <= 1 {
                 safe[p.index()] = true;
             }
         }
     }
-    proofs.safe_places = safe.iter().filter(|&&s| s).count();
-    proofs.net_safe = proofs.safe_places == proofs.total_places && proofs.total_places > 0;
+    safe
 }
 
 /// Per-signal balance terms: `+1` per rise, `−1` per fall, offset by

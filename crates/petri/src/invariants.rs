@@ -9,10 +9,20 @@
 //! signal's low/high place pair in an STG is a P-semiflow of weight
 //! one, and every complete cycle is a T-semiflow.
 //!
-//! The Farkas construction yields a generating set that includes all
-//! *minimal-support* semiflows; the result here is deduplicated and
-//! normalised (gcd 1) but not minimised further. Worst-case output is
-//! exponential, so [`semiflow_limit`](struct@FarkasLimits) guards it.
+//! The elimination is the minimal-support Farkas algorithm (Martínez
+//! & Silva, 1982): it cancels one constraint column at a time and
+//! combines a positive row with a negative one only when no third row
+//! has a support inside theirs. Every row of the working matrix is
+//! then a minimal-support semiflow of the columns cancelled so far,
+//! and the result is exactly the minimal-support semiflows — every
+//! semiflow is a non-negative combination of them — each normalised
+//! to gcd 1, sorted. Their number can still grow exponentially with
+//! the net (a ring of `k` stages of two parallel places has `2^k`), so
+//! [`FarkasLimits::max_rows`] caps the working matrix and the
+//! functions return `None` when it outgrows the cap. They also return
+//! `None` when a weight overflows `i64`, which ordinary arcs can cause:
+//! a place that forks into two places joined again doubles its weight
+//! per stage.
 
 use crate::{Net, PlaceId, TransitionId};
 
@@ -39,64 +49,156 @@ fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-/// Runs the Farkas algorithm on matrix `m` (rows = items the
-/// semiflow weights, columns = constraints to cancel). Returns the
-/// non-negative integer row combinations annihilating all columns.
-fn farkas(
-    mut rows: Vec<(Vec<i64>, Vec<i64>)>,
+/// `fa·x + fb·y`, or `None` when it overflows. `i64::MIN` counts as
+/// an overflow, so every matrix entry can be negated.
+fn combine(fa: i64, x: i64, fb: i64, y: i64) -> Option<i64> {
+    let v = fa.checked_mul(x)?.checked_add(fb.checked_mul(y)?)?;
+    v.checked_neg().map(|_| v)
+}
+
+/// The Farkas matrix, row-major: each row holds the constraint part
+/// still to cancel followed by the weight part (the semiflow being
+/// built), and the weight part's support as a bitset of `words` words.
+struct Matrix {
     num_cols: usize,
-    limits: FarkasLimits,
-) -> Option<Vec<Vec<i64>>> {
-    // Each entry: (constraint row, identity/weight part).
-    for col in 0..num_cols {
-        let mut next: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
-        // Keep rows already zero in this column.
-        for r in &rows {
-            if r.0[col] == 0 {
-                next.push(r.clone());
+    stride: usize,
+    words: usize,
+    values: Vec<i64>,
+    supports: Vec<u64>,
+}
+
+impl Matrix {
+    /// One unit row per weighted item, with `constraint(i, col)` as its
+    /// constraint part.
+    fn units(items: usize, num_cols: usize, constraint: impl Fn(usize, usize) -> i64) -> Matrix {
+        let stride = num_cols + items;
+        let words = items.div_ceil(64);
+        let mut values = vec![0; items * stride];
+        let mut supports = vec![0; items * words];
+        for i in 0..items {
+            let row = &mut values[i * stride..(i + 1) * stride];
+            for (col, v) in row[..num_cols].iter_mut().enumerate() {
+                *v = constraint(i, col);
+            }
+            row[num_cols + i] = 1;
+            supports[i * words + i / 64] |= 1 << (i % 64);
+        }
+        Matrix {
+            num_cols,
+            stride,
+            words,
+            values,
+            supports,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.supports.len() / self.words.max(1)
+    }
+
+    fn row(&self, i: usize) -> &[i64] {
+        &self.values[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn support(&self, i: usize) -> &[u64] {
+        &self.supports[i * self.words..(i + 1) * self.words]
+    }
+
+    /// Removes row `i`, moving the last row into its place.
+    fn swap_remove(&mut self, i: usize) {
+        let last = self.rows() - 1;
+        if i != last {
+            self.values.copy_within(
+                last * self.stride..(last + 1) * self.stride,
+                i * self.stride,
+            );
+            self.supports
+                .copy_within(last * self.words..(last + 1) * self.words, i * self.words);
+        }
+        self.values.truncate(last * self.stride);
+        self.supports.truncate(last * self.words);
+    }
+}
+
+/// Runs the minimal-support Farkas algorithm on `m`. Returns the
+/// minimal-support non-negative integer row combinations annihilating
+/// all columns (their weight parts), or `None` once a column's matrix
+/// outgrows `limits.max_rows` or an entry overflows `i64`.
+fn farkas(mut m: Matrix, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
+    let mut union = vec![0u64; m.words];
+    let (mut pos, mut neg) = (Vec::new(), Vec::new());
+    for col in 0..m.num_cols {
+        pos.clear();
+        neg.clear();
+        for i in 0..m.rows() {
+            match m.row(i)[col].signum() {
+                1 => pos.push(i),
+                -1 => neg.push(i),
+                _ => {}
             }
         }
-        // Combine opposite-sign pairs.
-        let pos: Vec<&(Vec<i64>, Vec<i64>)> = rows.iter().filter(|r| r.0[col] > 0).collect();
-        let neg: Vec<&(Vec<i64>, Vec<i64>)> = rows.iter().filter(|r| r.0[col] < 0).collect();
-        for p in &pos {
-            for n in &neg {
-                let a = p.0[col];
-                let b = -n.0[col];
-                let l = a / gcd(a, b) * b; // lcm
-                let (fa, fb) = (l / a, l / b);
-                let constraint: Vec<i64> =
-                    p.0.iter().zip(&n.0).map(|(x, y)| fa * x + fb * y).collect();
-                let weight: Vec<i64> = p.1.iter().zip(&n.1).map(|(x, y)| fa * x + fb * y).collect();
-                next.push((constraint, weight));
-                if next.len() > limits.max_rows {
+        let kept = m.rows() - pos.len() - neg.len();
+        let (mut values, mut supports) = (Vec::new(), Vec::new());
+        for &i in &pos {
+            for &j in &neg {
+                for (u, (a, b)) in union.iter_mut().zip(m.support(i).iter().zip(m.support(j))) {
+                    *u = a | b;
+                }
+                // Adjacency test: a third row whose support lies inside
+                // the union makes the combination non-minimal.
+                let dominated = (0..m.rows()).any(|k| {
+                    k != i && k != j && m.support(k).iter().zip(&union).all(|(s, u)| s & !u == 0)
+                });
+                if dominated {
+                    continue;
+                }
+                let (p, n) = (m.row(i), m.row(j));
+                let (a, b) = (p[col], -n[col]);
+                let g = gcd(a, b);
+                let (fa, fb) = (b / g, a / g);
+                let start = values.len();
+                values.reserve(m.stride);
+                for (&x, &y) in p.iter().zip(n) {
+                    values.push(combine(fa, x, fb, y)?);
+                }
+                let row = &mut values[start..];
+                let mut g = 0;
+                for &v in row.iter() {
+                    g = gcd(g, v);
+                    if g == 1 {
+                        break;
+                    }
+                }
+                if g > 1 {
+                    row.iter_mut().for_each(|v| *v /= g);
+                }
+                supports.extend_from_slice(&union);
+                if kept + supports.len() / m.words > limits.max_rows {
                     return None;
                 }
             }
         }
-        rows = next;
+        // Drop the rows nonzero in this column, filling each hole with
+        // the last row so the rows already zero move at most once.
+        pos.append(&mut neg);
+        pos.sort_unstable();
+        for &i in pos.iter().rev() {
+            m.swap_remove(i);
+        }
+        m.values.append(&mut values);
+        m.supports.append(&mut supports);
     }
-    let mut result: Vec<Vec<i64>> = rows
-        .into_iter()
-        .map(|(_, mut w)| {
-            let g = w.iter().fold(0i64, |acc, &v| gcd(acc, v));
-            if g > 1 {
-                for v in &mut w {
-                    *v /= g;
-                }
-            }
-            w
-        })
-        .filter(|w| w.iter().any(|&v| v != 0))
+    let mut result: Vec<Vec<i64>> = (0..m.rows())
+        .map(|i| m.row(i)[m.num_cols..].to_vec())
         .collect();
     result.sort();
-    result.dedup();
     Some(result)
 }
 
-/// Computes a generating set of P-semiflows of `net` (weights per
-/// place, in place order). Returns `None` if the Farkas iteration
-/// exceeds `limits`.
+/// Computes the minimal-support P-semiflows of `net` (weights per
+/// place, in place order), gcd-normalised and sorted. Every
+/// P-semiflow is a non-negative combination of them. Returns `None`
+/// if the Farkas matrix outgrows `limits` or a weight overflows `i64`.
 ///
 /// # Examples
 ///
@@ -123,36 +225,23 @@ fn farkas(
 pub fn p_semiflows(net: &Net, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
     let (np, nt) = (net.num_places(), net.num_transitions());
     let inc = crate::IncidenceMatrix::of(net);
-    let rows: Vec<(Vec<i64>, Vec<i64>)> = (0..np)
-        .map(|p| {
-            let constraint: Vec<i64> = (0..nt)
-                .map(|t| inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64)
-                .collect();
-            let mut weight = vec![0i64; np];
-            weight[p] = 1;
-            (constraint, weight)
-        })
-        .collect();
-    farkas(rows, nt, limits)
+    let m = Matrix::units(np, nt, |p, t| {
+        inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64
+    });
+    farkas(m, limits)
 }
 
-/// Computes a generating set of T-semiflows of `net` (firing counts
-/// per transition, in transition order). Returns `None` on limit
-/// overrun.
+/// Computes the minimal-support T-semiflows of `net` (firing counts
+/// per transition, in transition order), gcd-normalised and sorted.
+/// Returns `None` if the Farkas matrix outgrows `limits` or a count
+/// overflows `i64`.
 pub fn t_semiflows(net: &Net, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
     let (np, nt) = (net.num_places(), net.num_transitions());
     let inc = crate::IncidenceMatrix::of(net);
-    let rows: Vec<(Vec<i64>, Vec<i64>)> = (0..nt)
-        .map(|t| {
-            let constraint: Vec<i64> = (0..np)
-                .map(|p| inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64)
-                .collect();
-            let mut weight = vec![0i64; nt];
-            weight[t] = 1;
-            (constraint, weight)
-        })
-        .collect();
-    farkas(rows, np, limits)
+    let m = Matrix::units(nt, np, |t, p| {
+        inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64
+    });
+    farkas(m, limits)
 }
 
 /// Checks that `weights` is a P-invariant: `Σ w(p)·I[p][t] = 0` for
@@ -247,6 +336,71 @@ mod tests {
         // But p + q is conserved.
         let flows = p_semiflows(&net, Default::default()).unwrap();
         assert_eq!(flows, vec![vec![1, 1]]);
+    }
+
+    /// A ring of `k` transitions with two parallel places between
+    /// each consecutive pair: every minimal P-semiflow picks one place
+    /// per stage, so there are `2^k` of them.
+    fn parallel_stages(k: usize) -> Net {
+        let mut b = NetBuilder::new();
+        let ts: Vec<TransitionId> = (0..k).map(|i| b.add_transition(format!("t{i}"))).collect();
+        for i in 0..k {
+            for side in ["a", "b"] {
+                let p = b.add_place(format!("p{i}{side}"));
+                b.arc_tp(ts[i], p).unwrap();
+                b.arc_pt(p, ts[(i + 1) % k]).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn choices_in_series_give_exponentially_many_minimal_flows() {
+        let net = parallel_stages(6);
+        let flows = p_semiflows(&net, Default::default()).unwrap();
+        assert_eq!(flows.len(), 64);
+        for f in &flows {
+            assert!(is_p_invariant(&net, f));
+            for stage in f.chunks(2) {
+                assert_eq!(stage[0] + stage[1], 1, "{f:?}");
+            }
+        }
+        // The cap still bounds the output itself.
+        let net = parallel_stages(10);
+        assert!(p_semiflows(&net, FarkasLimits { max_rows: 500 }).is_none());
+        assert_eq!(
+            p_semiflows(&net, Default::default()).map(|f| f.len()),
+            Some(1024)
+        );
+    }
+
+    /// `k` stages that fork `p{i}` into two places and join them into
+    /// `p{i+1}`: the only minimal P-semiflow weighs `p0` at `2^k`.
+    fn doubling_stages(k: usize) -> Net {
+        let mut b = NetBuilder::new();
+        let mut p = b.add_place("p0");
+        for i in 0..k {
+            let fork = b.add_transition(format!("t{i}"));
+            let next = b.add_place(format!("p{}", i + 1));
+            b.arc_pt(p, fork).unwrap();
+            for side in ["a", "b"] {
+                let q = b.add_place(format!("q{i}{side}"));
+                let join = b.add_transition(format!("u{i}{side}"));
+                b.arc_tp(fork, q).unwrap();
+                b.arc_pt(q, join).unwrap();
+                b.arc_tp(join, next).unwrap();
+            }
+            p = next;
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn weight_overflow_returns_none() {
+        let flows = p_semiflows(&doubling_stages(20), Default::default()).unwrap();
+        assert_eq!(flows.len(), 1);
+        assert_eq!(flows[0].iter().max(), Some(&(1 << 20)));
+        assert!(p_semiflows(&doubling_stages(70), Default::default()).is_none());
     }
 
     #[test]
