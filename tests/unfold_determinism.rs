@@ -1,205 +1,141 @@
-//! Determinism differential for parallel possible-extensions
-//! discovery: `UnfoldOptions::threads` may only change wall-clock
-//! time, never the prefix or any verdict built on it. The pool
-//! computes extension candidates concurrently but the adequate-order
-//! commit loop stays sequential, so for every thread count the
-//! constructed prefix must be *bit-identical* to the serial one —
-//! same events in the same order with the same keys, presets,
-//! postsets, cut-off flags and mates — and every engine must return
-//! the same verdict and witness.
+//! Pins the serial prefix builder.
+//!
+//! Every engine that reads the prefix (the 0-1 IP, the witness
+//! replay, the artifact cache) relies on the construction being
+//! deterministic: the same events in the same order, with the same
+//! presets, postsets, depths, adequate-order keys and cut-off mates.
+//! For the 15 Table 1 rows plus MULLER-10 and CF-SYM-8-2 under the
+//! ERV total order, and two nets under McMillan's size order (whose
+//! key ties leave the queue's insertion sequence to break them), this
+//! test asserts the prefix's sizes, the builder's possible-extensions
+//! counters and an FNV-1a fingerprint of the whole structure against
+//! recorded values. A change to the builder that alters any of them
+//! changes the prefix, not just the speed of building it.
 
 use bench_harness::models;
-use stg_coding_conflicts::csc_core::{CheckRequest, Engine, Property, Verdict};
-use stg_coding_conflicts::stg::gen::counterflow::{counterflow_asym, counterflow_sym};
-use stg_coding_conflicts::stg::gen::duplex::{dup_4ph, dup_mod};
-use stg_coding_conflicts::stg::gen::ring::lazy_ring;
+use stg_coding_conflicts::stg::gen::counterflow::counterflow_sym;
+use stg_coding_conflicts::stg::gen::duplex::dup_4ph;
+use stg_coding_conflicts::stg::gen::pipeline::muller_pipeline;
 use stg_coding_conflicts::stg::Stg;
-use stg_coding_conflicts::unfolding::{OrderStrategy, Prefix, UnfoldOptions};
+use stg_coding_conflicts::unfolding::{CutoffMate, OrderStrategy, Prefix, UnfoldOptions};
 
-/// Event-for-event, condition-for-condition structural equality.
-fn assert_prefixes_identical(label: &str, threads: usize, serial: &Prefix, parallel: &Prefix) {
-    let ctx = |what: &str| format!("{label} (threads {threads}): {what} diverged");
-    assert_eq!(
-        serial.num_events(),
-        parallel.num_events(),
-        "{}",
-        ctx("event count")
-    );
-    assert_eq!(
-        serial.num_conditions(),
-        parallel.num_conditions(),
-        "{}",
-        ctx("condition count")
-    );
-    assert_eq!(
-        serial.num_cutoffs(),
-        parallel.num_cutoffs(),
-        "{}",
-        ctx("cut-off count")
-    );
-    for e in serial.events() {
-        assert_eq!(
-            serial.event_transition(e),
-            parallel.event_transition(e),
-            "{}",
-            ctx("event transition")
-        );
-        assert_eq!(
-            serial.event_preset(e),
-            parallel.event_preset(e),
-            "{}",
-            ctx("event preset")
-        );
-        assert_eq!(
-            serial.event_postset(e),
-            parallel.event_postset(e),
-            "{}",
-            ctx("event postset")
-        );
-        assert_eq!(serial.depth(e), parallel.depth(e), "{}", ctx("depth"));
-        assert_eq!(
-            serial.order_key(e),
-            parallel.order_key(e),
-            "{}",
-            ctx("adequate-order key")
-        );
-        assert_eq!(
-            serial.is_cutoff(e),
-            parallel.is_cutoff(e),
-            "{}",
-            ctx("cut-off flag")
-        );
-        assert_eq!(
-            serial.cutoff_mate(e),
-            parallel.cutoff_mate(e),
-            "{}",
-            ctx("cut-off mate")
-        );
-    }
-    for b in serial.conditions() {
-        assert_eq!(
-            serial.cond_place(b),
-            parallel.cond_place(b),
-            "{}",
-            ctx("condition place")
-        );
-        assert_eq!(
-            serial.cond_producer(b),
-            parallel.cond_producer(b),
-            "{}",
-            ctx("condition producer")
-        );
-        assert_eq!(
-            serial.cond_consumers(b),
-            parallel.cond_consumers(b),
-            "{}",
-            ctx("condition consumers")
-        );
-    }
-}
+/// One net: name, events, conditions, cut-offs, possible extensions
+/// discovered, possible extensions committed, structural fingerprint.
+type Expected = (&'static str, usize, usize, usize, u64, u64, u64);
 
-#[test]
-fn roster_prefixes_are_bit_identical_across_thread_counts() {
-    for model in models() {
-        let serial = Prefix::of_stg(&model.stg, UnfoldOptions::new()).unwrap();
-        for threads in [2, 4] {
-            let parallel =
-                Prefix::of_stg(&model.stg, UnfoldOptions::new().threads(threads)).unwrap();
-            assert_prefixes_identical(model.name, threads, &serial, &parallel);
-        }
-    }
-}
-
-#[test]
-fn mcmillan_prefixes_are_bit_identical_across_thread_counts() {
-    // The determinism argument must hold for every adequate order,
-    // not just the ERV default; McMillan's size order has genuine key
-    // ties, so the sequence-number tiebreak is doing real work here.
-    for (label, stg) in [
-        ("dup_4ph_2", dup_4ph(2, false)),
-        ("cf_sym_2_3", counterflow_sym(2, 3)),
-    ] {
-        let base = UnfoldOptions::new().order(OrderStrategy::McMillan);
-        let serial = Prefix::of_stg(&stg, base).unwrap();
-        for threads in [2, 4] {
-            let parallel = Prefix::of_stg(&stg, base.threads(threads)).unwrap();
-            assert_prefixes_identical(label, threads, &serial, &parallel);
-        }
-    }
-}
-
-const ENGINES: [Engine; 5] = [
-    Engine::UnfoldingIlp,
-    Engine::ExplicitStateGraph,
-    Engine::SymbolicBdd,
-    Engine::Cegar,
-    Engine::Race,
+const ERV: [Expected; 17] = [
+    ("LAZYRING", 16, 17, 1, 16, 16, 5932216410920104763),
+    ("RING", 43, 69, 1, 43, 43, 7402244237172354800),
+    ("DUP-4PH-A", 10, 13, 1, 10, 10, 14290934453234436174),
+    ("DUP-4PH-B", 18, 25, 1, 18, 18, 11360438205683046471),
+    ("DUP-4PH-MTR-A", 24, 35, 1, 24, 24, 13951630843811144090),
+    ("DUP-4PH-MTR-B", 30, 45, 1, 30, 30, 3389521974560137214),
+    ("DUP-MOD-A", 12, 13, 1, 12, 12, 7746845003171043875),
+    ("DUP-MOD-B", 20, 21, 1, 20, 20, 5450518532071088803),
+    ("DUP-MOD-C", 28, 29, 1, 28, 28, 11017266295605676323),
+    ("CF-SYM-A-CSC", 14, 18, 1, 14, 14, 12518088486900013128),
+    ("CF-SYM-B-CSC", 20, 27, 1, 20, 20, 12657640524146246595),
+    ("CF-SYM-C-CSC", 22, 26, 1, 22, 22, 11066971253690323152),
+    ("CF-SYM-D-CSC", 18, 28, 1, 18, 18, 11077954194268368084),
+    ("CF-ASYM-A-CSC", 20, 27, 1, 20, 20, 8971141137305090599),
+    ("CF-ASYM-B-CSC", 30, 40, 1, 30, 30, 18043609402758014932),
+    ("MULLER-10", 67, 132, 1, 67, 67, 16255385285699586704),
+    ("CF-SYM-8-2", 34, 56, 1, 34, 34, 15892679037089348036),
 ];
 
-#[test]
-fn engine_verdicts_are_unchanged_by_discovery_threads() {
-    // One small representative per Table 1 family.
-    let cases: Vec<(&str, Stg)> = vec![
-        ("lazy_ring_2", lazy_ring(2)),
-        ("dup_1", dup_4ph(1, false)),
-        ("dup_mod_2", dup_mod(2)),
-        ("cf_sym_2_2", counterflow_sym(2, 2)),
-        ("cf_asym_2_2", counterflow_asym(2, 2)),
-    ];
-    for (label, stg) in &cases {
-        for property in [Property::Usc, Property::Csc, Property::Normalcy] {
-            for engine in ENGINES {
-                let run = |threads: Option<usize>| {
-                    let mut request = CheckRequest::new(stg, property).engine(engine);
-                    if let Some(n) = threads {
-                        request = request.unfold_threads(n);
-                    }
-                    request.run().expect("engine run succeeds").verdict
-                };
-                let baseline = run(None);
-                for threads in [2, 4] {
-                    let threaded = run(Some(threads));
-                    if engine == Engine::Race {
-                        // The race's winning engine (and hence the
-                        // witness shape) is timing-dependent; only
-                        // the three-valued answer is pinned.
-                        assert_eq!(
-                            baseline.holds(),
-                            threaded.holds(),
-                            "{label}/{property:?}/{engine:?} (threads {threads})"
-                        );
-                    } else {
-                        // Deterministic engines must reproduce the
-                        // verdict *and* the witness exactly.
-                        assert_eq!(
-                            baseline, threaded,
-                            "{label}/{property:?}/{engine:?} (threads {threads})"
-                        );
-                    }
-                }
-            }
+const MCMILLAN: [Expected; 2] = [
+    ("DUP-4PH-2", 18, 25, 1, 18, 18, 17227254824375003266),
+    ("CF-SYM-2-3", 14, 18, 1, 14, 14, 13183899886687491620),
+];
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv64(u64);
+
+impl Fnv64 {
+    fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, values: impl ExactSizeIterator<Item = u64>) {
+        self.word(values.len() as u64);
+        for value in values {
+            self.word(value);
         }
     }
 }
 
+/// Hashes, event by event, the transition, preset, postset, depth,
+/// order key and cut-off mate; then, condition by condition, the
+/// place, producer and consumers.
+fn fingerprint(prefix: &Prefix) -> u64 {
+    let mut h = Fnv64::new();
+    for e in prefix.events() {
+        h.word(prefix.event_transition(e).index() as u64);
+        h.words(prefix.event_preset(e).iter().map(|b| b.index() as u64));
+        h.words(prefix.event_postset(e).iter().map(|b| b.index() as u64));
+        h.word(u64::from(prefix.depth(e)));
+        let key = prefix.order_key(e);
+        h.word(u64::from(key.size));
+        h.words(key.parikh.iter().map(|&n| u64::from(n)));
+        h.word(key.foata.len() as u64);
+        for level in &key.foata {
+            h.words(level.iter().map(|&n| u64::from(n)));
+        }
+        h.word(match prefix.cutoff_mate(e) {
+            None => 0,
+            Some(CutoffMate::Initial) => 1,
+            Some(CutoffMate::Event(f)) => 2 + f.index() as u64,
+        });
+    }
+    for b in prefix.conditions() {
+        h.word(prefix.cond_place(b).index() as u64);
+        h.word(prefix.cond_producer(b).map_or(0, |e| 1 + e.index() as u64));
+        h.words(prefix.cond_consumers(b).iter().map(|e| e.index() as u64));
+    }
+    h.0
+}
+
+fn observed(name: &'static str, stg: &Stg, order: OrderStrategy) -> Expected {
+    let prefix = Prefix::of_stg(stg, UnfoldOptions::new().order(order)).expect("net unfolds");
+    let stats = prefix.unfold_stats();
+    (
+        name,
+        prefix.num_events(),
+        prefix.num_conditions(),
+        prefix.num_cutoffs(),
+        stats.pe_discovered,
+        stats.pe_commits,
+        fingerprint(&prefix),
+    )
+}
+
 #[test]
-fn reports_record_the_worker_pool() {
-    let stg = dup_4ph(1, false);
-    let run = CheckRequest::new(&stg, Property::Csc)
-        .engine(Engine::UnfoldingIlp)
-        .unfold_threads(3)
-        .run()
-        .unwrap();
-    assert!(matches!(run.verdict, Verdict::Violated(_)));
-    let stats = run.report.unfold.expect("unfolding engine reports stats");
-    assert_eq!(stats.workers, 3);
-    assert!(stats.pe_discovered > 0);
-    assert!(stats.pe_commits > 0);
-    // Serial runs report a single worker and never enter the pool.
-    let serial = CheckRequest::new(&stg, Property::Csc)
-        .engine(Engine::UnfoldingIlp)
-        .run()
-        .unwrap();
-    let stats = serial.report.unfold.expect("stats present when serial");
-    assert_eq!(stats.workers, 1);
+fn roster_prefixes_match_recorded_fingerprints() {
+    let mut nets: Vec<(&'static str, Stg)> =
+        models().into_iter().map(|m| (m.name, m.stg)).collect();
+    nets.push(("MULLER-10", muller_pipeline(10)));
+    nets.push(("CF-SYM-8-2", counterflow_sym(8, 2)));
+    assert_eq!(nets.len(), ERV.len());
+    for ((name, stg), expected) in nets.iter().zip(ERV) {
+        assert_eq!(observed(name, stg, OrderStrategy::ErvTotal), expected);
+    }
+}
+
+#[test]
+fn mcmillan_prefixes_match_recorded_fingerprints() {
+    let nets = [
+        ("DUP-4PH-2", dup_4ph(2, false)),
+        ("CF-SYM-2-3", counterflow_sym(2, 3)),
+    ];
+    assert_eq!(nets.len(), MCMILLAN.len());
+    for ((name, stg), expected) in nets.iter().zip(MCMILLAN) {
+        assert_eq!(observed(name, stg, OrderStrategy::McMillan), expected);
+    }
 }
