@@ -4,9 +4,10 @@
 //! claim — the state space grows exponentially while the prefix and
 //! the IP check grow polynomially.
 //!
-//! Usage: `cargo run --release -p bench-harness --bin scale
-//! [-- --max N] [-- --json PATH] [-- --budget-ms MS]
-//! [-- --budget-bdd-nodes N] [-- --cache-bench] [-- --unfold-threads N]`
+//! Usage: `cargo run --release -p bench-harness --bin scale --
+//! [--max N] [--json PATH] [--budget-ms MS] [--budget-bdd-nodes N]
+//! [--cache-bench] [--counterflow]`; an unknown flag exits with
+//! status 2.
 //!
 //! With `--budget-ms` each point's unfolding + IP run gets a
 //! wall-clock allowance; aborted points are recorded, not fatal.
@@ -16,12 +17,6 @@
 //! reused). The warm run of a completed width performs *zero*
 //! unfolding work (`warm_events_built = 0`); the comparison lands in
 //! the JSON artifact under `"cache_bench"`.
-//!
-//! With `--unfold-threads N` (N > 1) every counterflow width's
-//! prefix is built serially and with an N-worker discovery pool, the
-//! two builds are checked event-for-event identical, and the honest
-//! wall-clock ratio (typically < 1 on a single-CPU container) lands
-//! in the JSON artifact under `"unfold_bench"`.
 //!
 //! With `--counterflow` the sweep also runs the BDD
 //! memory-management comparison (symbolic CSC with GC + auto-reorder
@@ -35,12 +30,43 @@ use std::fs;
 use std::time::Duration;
 
 use bench_harness::{
-    run_bdd_bench, run_cache_bench, run_scale, run_scale_counterflow, run_unfold_bench,
-    scale_artifact_json, Budget,
+    run_bdd_bench, run_cache_bench, run_scale, run_scale_counterflow, scale_artifact_json, Budget,
 };
+
+/// Every flag `scale` knows, and whether it takes a value.
+const FLAGS: [(&str, bool); 6] = [
+    ("--max", true),
+    ("--json", true),
+    ("--budget-ms", true),
+    ("--budget-bdd-nodes", true),
+    ("--cache-bench", false),
+    ("--counterflow", false),
+];
+
+/// Exits with status 2 on the first `--flag` not in [`FLAGS`]; the
+/// argument after a value-taking flag is its value, not a flag.
+fn check_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match FLAGS.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                eprintln!("scale: unknown flag `{arg}`");
+                std::process::exit(2);
+            }
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = env::args().collect();
+    check_flags(&args[1..]);
     let max: usize = args
         .windows(2)
         .find(|w| w[0] == "--max")
@@ -177,47 +203,9 @@ fn main() {
         Vec::new()
     };
 
-    let unfold_threads: usize = args
-        .windows(2)
-        .find(|w| w[0] == "--unfold-threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1);
-    let ub_points = if unfold_threads > 1 {
-        let widths: Vec<usize> = (1..=max).collect();
-        let ub = run_unfold_bench(&widths, 2, unfold_threads);
-        println!();
-        println!(
-            "{:>3} | {:>7} | {:>10} {:>12} | {:>7} | {:>6} | identical",
-            "n", "threads", "serial[ms]", "parallel[ms]", "speedup", "|E|"
-        );
-        println!("{}", "-".repeat(68));
-        for p in &ub {
-            println!(
-                "{:>3} | {:>7} | {:>10.2} {:>12.2} | {:>6.2}x | {:>6} | {}",
-                p.n,
-                p.unfold_threads,
-                p.serial_ms,
-                p.parallel_ms,
-                p.speedup,
-                p.events,
-                if p.identical { "yes" } else { "DIVERGED" },
-            );
-        }
-        assert!(
-            ub.iter().all(|p| p.identical),
-            "parallel prefix construction must be bit-identical to serial"
-        );
-        ub
-    } else {
-        Vec::new()
-    };
-
     if let Some(path) = json_path {
-        fs::write(
-            &path,
-            scale_artifact_json(&points, &cb_points, &bdd_points, &ub_points),
-        )
-        .expect("write json");
+        fs::write(&path, scale_artifact_json(&points, &cb_points, &bdd_points))
+            .expect("write json");
         eprintln!("wrote {path}");
     }
 }

@@ -815,77 +815,6 @@ pub fn run_bdd_bench(widths: &[usize], depth: usize, budget: &Budget) -> Vec<Bdd
         .collect()
 }
 
-/// One width of the parallel possible-extensions comparison: the
-/// counterflow prefix built serially and with a worker pool, the
-/// wall-clock of both builds, and a structural identity check — the
-/// concurrent-discovery/sequential-commit protocol guarantees the two
-/// prefixes are bit-identical, so `identical` must always hold.
-#[derive(Debug, Clone)]
-pub struct UnfoldBenchPoint {
-    /// Counterflow width.
-    pub n: usize,
-    /// Discovery workers of the parallel build (the serial build
-    /// always uses 1).
-    pub unfold_threads: usize,
-    /// Serial prefix construction wall-clock, milliseconds.
-    pub serial_ms: f64,
-    /// Parallel prefix construction wall-clock, milliseconds. On a
-    /// single-CPU host this is typically *slower* than serial (the
-    /// pool adds channel and guard traffic without adding cores);
-    /// the honest ratio is the point of recording it.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms` (> 1 means the pool paid off).
-    pub speedup: f64,
-    /// Prefix events (identical between the builds).
-    pub events: usize,
-    /// Extension candidates the parallel build's workers discovered.
-    pub pe_discovered: u64,
-    /// Whether the two prefixes are event-for-event identical
-    /// (transitions, adequate-order keys, cut-off flags).
-    pub identical: bool,
-}
-
-/// Runs the parallel-unfolding comparison over counterflow `widths`
-/// at fixed `depth`: each width's prefix is built with one discovery
-/// worker and with `threads` workers, and the two prefixes are
-/// checked event-for-event identical.
-pub fn run_unfold_bench(widths: &[usize], depth: usize, threads: usize) -> Vec<UnfoldBenchPoint> {
-    widths
-        .iter()
-        .map(|&w| {
-            let stg = counterflow_sym(w, depth);
-            let build = |threads: usize| {
-                let t0 = Instant::now();
-                let prefix = unfolding::Prefix::of_stg(
-                    &stg,
-                    unfolding::UnfoldOptions::new().threads(threads),
-                )
-                .unwrap_or_else(|e| panic!("cf({w},{depth}) failed to unfold: {e}"));
-                (t0.elapsed().as_secs_f64() * 1e3, prefix)
-            };
-            let (serial_ms, serial) = build(1);
-            let (parallel_ms, parallel) = build(threads);
-            let identical = serial.num_events() == parallel.num_events()
-                && serial.num_conditions() == parallel.num_conditions()
-                && serial.events().all(|e| {
-                    serial.event_transition(e) == parallel.event_transition(e)
-                        && serial.order_key(e) == parallel.order_key(e)
-                        && serial.is_cutoff(e) == parallel.is_cutoff(e)
-                });
-            UnfoldBenchPoint {
-                n: w,
-                unfold_threads: threads,
-                serial_ms,
-                parallel_ms,
-                speedup: serial_ms / parallel_ms,
-                events: serial.num_events(),
-                pe_discovered: parallel.unfold_stats().pe_discovered,
-                identical,
-            }
-        })
-        .collect()
-}
-
 pub mod json {
     //! Hand-rolled JSON emission for the harness artefacts
     //! (`table1.json`, `scale.json`). The build environment has no
@@ -1131,36 +1060,14 @@ pub fn bdd_bench_to_json(points: &[BddBenchPoint]) -> String {
     json::array(&objects)
 }
 
-/// Serialises unfold-bench points as a pretty-printed JSON array.
-pub fn unfold_bench_to_json(points: &[UnfoldBenchPoint]) -> String {
-    let objects: Vec<json::Object> = points
-        .iter()
-        .map(|p| {
-            let mut o = json::Object::new();
-            o.number("n", p.n)
-                .number("unfold_threads", p.unfold_threads)
-                .float("serial_ms", p.serial_ms)
-                .float("parallel_ms", p.parallel_ms)
-                .float("speedup", p.speedup)
-                .number("events", p.events)
-                .number("pe_discovered", p.pe_discovered as usize)
-                .boolean("identical", p.identical);
-            o
-        })
-        .collect();
-    json::array(&objects)
-}
-
 /// Renders the full `scale.json` artifact: the sweep under `"sweep"`,
 /// plus — when they ran — the artifact-cache comparison under
-/// `"cache_bench"`, the BDD memory-management comparison under
-/// `"bdd_bench"` and the parallel-unfolding comparison under
-/// `"unfold_bench"`.
+/// `"cache_bench"` and the BDD memory-management comparison under
+/// `"bdd_bench"`.
 pub fn scale_artifact_json(
     points: &[ScalePoint],
     cache_bench: &[CacheBenchPoint],
     bdd_bench: &[BddBenchPoint],
-    unfold_bench: &[UnfoldBenchPoint],
 ) -> String {
     let indent = |text: String| text.replace('\n', "\n  ");
     let mut out = String::from("{\n  \"sweep\": ");
@@ -1172,10 +1079,6 @@ pub fn scale_artifact_json(
     if !bdd_bench.is_empty() {
         out.push_str(",\n  \"bdd_bench\": ");
         out.push_str(&indent(bdd_bench_to_json(bdd_bench)));
-    }
-    if !unfold_bench.is_empty() {
-        out.push_str(",\n  \"unfold_bench\": ");
-        out.push_str(&indent(unfold_bench_to_json(unfold_bench)));
     }
     out.push_str("\n}");
     out
@@ -1314,21 +1217,6 @@ mod tests {
         }
         let json = cache_bench_to_json(&points);
         assert!(json.contains("\"warm_events_built\": 0"));
-    }
-
-    #[test]
-    fn unfold_bench_parallel_prefixes_are_identical() {
-        let points = run_unfold_bench(&[1, 2], 2, 2);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.identical, "cf({},2) parallel prefix diverged", p.n);
-            assert_eq!(p.unfold_threads, 2);
-            assert!(p.events > 0);
-            assert!(p.pe_discovered > 0);
-        }
-        let json = unfold_bench_to_json(&points);
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"unfold_threads\": 2"));
     }
 
     #[test]

@@ -214,7 +214,6 @@ pub struct CheckRequest<'a> {
     budget: Budget,
     prelint: bool,
     structure: bool,
-    unfold_threads: Option<usize>,
 }
 
 impl<'a> CheckRequest<'a> {
@@ -230,7 +229,6 @@ impl<'a> CheckRequest<'a> {
             budget: Budget::unlimited(),
             prelint: false,
             structure: false,
-            unfold_threads: None,
         }
     }
 
@@ -243,18 +241,6 @@ impl<'a> CheckRequest<'a> {
     /// Sets the resource budget.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the worker count for parallel possible-extensions
-    /// discovery during prefix construction (engines that unfold:
-    /// `UnfoldingIlp`, and stage 2 and the unfolding racer of `Race`). The prefix is bit-identical for every thread count —
-    /// see [`unfolding::UnfoldOptions::threads`] — so this knob only
-    /// affects wall-clock time, never verdicts or cached artifacts.
-    /// `0` means auto-detect from available parallelism; unset keeps
-    /// the serial default.
-    pub fn unfold_threads(mut self, threads: usize) -> Self {
-        self.unfold_threads = Some(threads);
         self
     }
 
@@ -382,13 +368,9 @@ impl<'a> CheckRequest<'a> {
         // under constant caps, ahead of the LP (see the module docs for
         // the order).
         if self.engine == Engine::Race {
-            if let Some((verdict, stage, winner)) = run_schedule_stage(
-                artifacts,
-                self.property,
-                &self.budget,
-                self.unfold_threads,
-                &guard,
-            ) {
+            if let Some((verdict, stage, winner)) =
+                run_schedule_stage(artifacts, self.property, &self.budget, &guard)
+            {
                 fold_stage(report, stage);
                 if !verdict.is_unknown() {
                     report.winner = Some(winner);
@@ -424,14 +406,7 @@ impl<'a> CheckRequest<'a> {
                 return Ok(Verdict::Holds);
             }
         }
-        let run = dispatch(
-            artifacts,
-            self.property,
-            self.engine,
-            &self.budget,
-            self.unfold_threads,
-            &guard,
-        )?;
+        let run = dispatch(artifacts, self.property, self.engine, &self.budget, &guard)?;
         fold_stage(report, run.report);
         Ok(run.verdict)
     }
@@ -467,14 +442,13 @@ fn dispatch(
     property: Property,
     engine: Engine,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> Result<CheckRun, CheckError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-        Engine::UnfoldingIlp => run_unfolding(artifacts, property, budget, unfold_threads, guard),
+        Engine::UnfoldingIlp => run_unfolding(artifacts, property, budget, guard),
         Engine::ExplicitStateGraph => run_explicit(artifacts, property, budget, guard),
         Engine::SymbolicBdd => run_symbolic(artifacts, property, budget, guard),
-        Engine::Race => run_race(artifacts, property, budget, unfold_threads, guard),
+        Engine::Race => run_race(artifacts, property, budget, guard),
         Engine::Cegar => run_cegar(artifacts, property, budget, guard),
     }));
     match outcome {
@@ -601,7 +575,6 @@ fn run_unfolding(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> EngineOutcome {
     let start = Instant::now();
@@ -609,9 +582,6 @@ fn run_unfolding(
     let mut options = CheckerOptions::default();
     if let Some(n) = budget.max_events {
         options.unfold.max_events = n;
-    }
-    if let Some(n) = unfold_threads {
-        options.unfold = options.unfold.threads(n);
     }
     if let Some(n) = budget.max_solver_steps {
         options.solver.max_steps = n;
@@ -635,9 +605,6 @@ fn run_unfolding(
     report.prefix_events = Some(artifact.prefix.num_events());
     report.prefix_conditions = Some(artifact.prefix.num_conditions());
     report.prefix_events_built = Some(built);
-    // When the prefix came from the artifact cache these stats
-    // describe its *original* construction, not this request's
-    // thread setting — the prefix is bit-identical either way.
     report.unfold = Some(artifact.prefix.unfold_stats());
     let checker = Checker::from_artifact(
         artifacts.stg(),
@@ -685,7 +652,6 @@ fn run_schedule_stage(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> Option<(Verdict, ResourceReport, &'static str)> {
     fn tighter<T: Ord + Copy>(request: Option<T>, cap: T) -> Option<T> {
@@ -707,7 +673,7 @@ fn run_schedule_stage(
                 report.prefix_events_built = Some(0);
                 Ok((verdict, report, "explicit"))
             }
-            _ => run_unfolding(artifacts, property, &capped, unfold_threads, guard)
+            _ => run_unfolding(artifacts, property, &capped, guard)
                 .map(|(verdict, report)| (verdict, report, "unfolding-ilp")),
         }
     }))
@@ -944,7 +910,6 @@ fn run_race(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> EngineOutcome {
     use std::sync::mpsc;
@@ -977,13 +942,9 @@ fn run_race(
             };
             scope.spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-                    Engine::UnfoldingIlp => run_unfolding(
-                        artifacts,
-                        property,
-                        race_budget,
-                        unfold_threads,
-                        &racer_guard,
-                    ),
+                    Engine::UnfoldingIlp => {
+                        run_unfolding(artifacts, property, race_budget, &racer_guard)
+                    }
                     Engine::ExplicitStateGraph => {
                         run_explicit(artifacts, property, race_budget, &racer_guard)
                     }
@@ -1674,7 +1635,6 @@ mod tests {
             &artifacts,
             Property::Csc,
             &Budget::unlimited(),
-            None,
             &StopGuard::unlimited(),
         )
         .unwrap();

@@ -4,7 +4,6 @@
 //! stgd [--addr HOST:PORT] [--workers N] [--engine NAME] [--timeout-ms MS]
 //!      [--max-queue N] [--client-quota N] [--write-timeout-ms MS]
 //!      [--response-buffer N] [--hung-job-ms MS] [--cache-entries N]
-//!      [--unfold-threads N]
 //! ```
 //!
 //! Prints `listening on ADDR` once the socket is bound (port 0 is
@@ -50,7 +49,6 @@ fn usage() -> ! {
         "usage: stgd [--addr HOST:PORT] [--workers N] [--engine NAME] [--timeout-ms MS]\n\
          \u{20}           [--max-queue N] [--client-quota N] [--write-timeout-ms MS]\n\
          \u{20}           [--response-buffer N] [--hung-job-ms MS] [--cache-entries N]\n\
-         \u{20}           [--unfold-threads N]\n\
          \n\
          --addr HOST:PORT      listen address (default 127.0.0.1:7570; port 0 = ephemeral)\n\
          --workers N           worker threads (default 4)\n\
@@ -68,10 +66,7 @@ fn usage() -> ! {
          --hung-job-ms MS      watchdog bound: cancel any job executing longer than MS\n\
          \u{20}                     (default off; 0 also means off)\n\
          --cache-entries N     artifact-cache capacity in resident STGs (default 64;\n\
-         \u{20}                     0 disables caching)\n\
-         --unfold-threads N    threads for parallel possible-extensions discovery per\n\
-         \u{20}                     prefix build (default serial; 0 = auto-detect); the\n\
-         \u{20}                     prefix is bit-identical for every setting",
+         \u{20}                     0 disables caching)",
         engine_names()
     );
     std::process::exit(2);
@@ -160,13 +155,6 @@ fn parse_args() -> ServerConfig {
                 Ok(n) => config.cache_entries = n,
                 Err(_) => {
                     eprintln!("stgd: --cache-entries needs a non-negative integer");
-                    usage();
-                }
-            },
-            "--unfold-threads" => match value("--unfold-threads").parse::<usize>() {
-                Ok(n) => config.unfold_threads = Some(n),
-                Err(_) => {
-                    eprintln!("stgd: --unfold-threads needs a non-negative integer");
                     usage();
                 }
             },

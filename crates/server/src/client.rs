@@ -177,8 +177,8 @@ impl CheckResponse {
     }
 
     /// The revision-7 `report.unfold` counter block
-    /// (`pe_discovered`, `pe_commits`, `workers`, `par_ms`,
-    /// `serial_ms`), when the job's engine built an unfolding prefix.
+    /// (`pe_discovered`, `pe_commits`), when the job's engine built an
+    /// unfolding prefix.
     /// `None` on older revisions and for engines that never unfold,
     /// so callers need no protocol-version branch of their own.
     pub fn unfold_stats(&self) -> Option<&Value> {

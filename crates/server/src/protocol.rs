@@ -360,11 +360,11 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// reported with the stable `resolve_failed` error code (permanent —
 /// clients must not retry it). Revision 7 added the optional
 /// `report.unfold` counter block describing how the finite complete
-/// prefix was constructed (`pe_discovered`, `pe_commits`, `workers`,
-/// `par_ms`, `serial_ms`) and the server's `--unfold-threads` knob;
-/// the prefix itself is bit-identical for every worker count, so the
-/// block is purely observational and older clients that ignore
-/// unknown members keep working unchanged.
+/// prefix was constructed (`pe_discovered`, `pe_commits`); the block
+/// is purely observational and older clients that ignore unknown
+/// members keep working unchanged. (Revision 7 also carried
+/// `workers`, `par_ms` and `serial_ms` for a parallel discovery pool
+/// that has since been removed; the server no longer sends them.)
 /// Revision 8 added the optional `report.structure` block describing
 /// the structural net-class pass that now fronts every check (the
 /// detected `class` plus the individual class flags, whether the
@@ -750,15 +750,6 @@ fn encode_report(report: &ResourceReport) -> Value {
                 Some(stats) => Value::Obj(vec![
                     ("pe_discovered".to_owned(), Value::from(stats.pe_discovered)),
                     ("pe_commits".to_owned(), Value::from(stats.pe_commits)),
-                    ("workers".to_owned(), Value::from(u64::from(stats.workers))),
-                    (
-                        "par_ms".to_owned(),
-                        Value::from(stats.par_time.as_secs_f64() * 1e3),
-                    ),
-                    (
-                        "serial_ms".to_owned(),
-                        Value::from(stats.serial_time.as_secs_f64() * 1e3),
-                    ),
                 ]),
             },
         ),
@@ -1100,7 +1091,6 @@ mod tests {
         let stg = vme_read();
         let run = csc_core::CheckRequest::new(&stg, Property::Csc)
             .engine(Engine::UnfoldingIlp)
-            .unfold_threads(2)
             .run()
             .unwrap();
         let line = encode_check_response("j12", &stg, &run);
@@ -1115,9 +1105,9 @@ mod tests {
             .get("pe_commits")
             .and_then(Value::as_u64)
             .is_some_and(|n| n > 0));
-        assert_eq!(unfold.get("workers").and_then(Value::as_u64), Some(2));
-        assert!(unfold.get("par_ms").and_then(Value::as_f64).is_some());
-        assert!(unfold.get("serial_ms").and_then(Value::as_f64).is_some());
+        for gone in ["workers", "par_ms", "serial_ms"] {
+            assert!(unfold.get(gone).is_none(), "{gone} is no longer sent");
+        }
         // Engines that never unfold answer with a null block, so
         // clients need no protocol-version branch.
         let run = csc_core::CheckRequest::new(&stg, Property::Usc)

@@ -96,14 +96,6 @@ pub struct ServerConfig {
     /// the watchdog. This is a backstop for jobs submitted without a
     /// budget — budgeted jobs are bounded by their own deadline.
     pub hung_job_ms: Option<u64>,
-    /// Worker threads for parallel possible-extensions discovery
-    /// inside each job's prefix construction (`0` = auto-detect from
-    /// available parallelism, `None` = serial). The prefix is
-    /// bit-identical for every setting, so this knob never changes
-    /// verdicts, witnesses or cached artifacts — only wall-clock
-    /// time. Note this multiplies with [`ServerConfig::workers`]:
-    /// `workers` jobs may each spawn this many discovery threads.
-    pub unfold_threads: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -119,7 +111,6 @@ impl Default for ServerConfig {
             write_timeout_ms: Some(10_000),
             response_buffer: 1024,
             hung_job_ms: None,
-            unfold_threads: None,
         }
     }
 }
@@ -1255,16 +1246,13 @@ fn process_check(request: &CheckRequest, job: &Job, shared: &Arc<Shared>) -> Str
     // The structure pass rides along too: its class-gated fast paths
     // can answer without any engine, and the revision-8 responses
     // surface the detected net class to clients.
-    let mut check = csc_core::CheckRequest::new(stg, property)
+    let result = csc_core::CheckRequest::new(stg, property)
         .engine(engine)
         .budget(budget)
         .artifacts(&artifacts)
         .prelint(true)
-        .structure(true);
-    if let Some(threads) = shared.config.unfold_threads {
-        check = check.unfold_threads(threads);
-    }
-    let result = check.run();
+        .structure(true)
+        .run();
     match result {
         Ok(run) => {
             let latency_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
@@ -1814,34 +1802,6 @@ mod tests {
         assert_eq!(lint.get("proved").and_then(Value::as_bool), Some(true));
         assert_eq!(lint.get("usc_proved").and_then(Value::as_bool), Some(true));
         assert_eq!(lint.get("errors").and_then(Value::as_u64), Some(0));
-        server.shutdown();
-    }
-
-    #[test]
-    fn unfold_threads_config_parallelises_discovery_without_changing_verdicts() {
-        let server = spawn(ServerConfig {
-            default_engine: Engine::UnfoldingIlp,
-            unfold_threads: Some(2),
-            ..Default::default()
-        })
-        .expect("bind");
-        let mut client = Client::connect(server.addr()).expect("connect");
-        let g = stg::to_g_format(&stg::gen::vme::vme_read(), "vme");
-        let response = client
-            .check("ju", &g, Property::Csc, None, BudgetSpec::default())
-            .expect("check");
-        assert_eq!(
-            response.verdict.as_deref(),
-            Some("violated"),
-            "{:?}",
-            response.raw
-        );
-        let unfold = response.unfold_stats().expect("unfold block present");
-        assert_eq!(unfold.get("workers").and_then(Value::as_u64), Some(2));
-        assert!(unfold
-            .get("pe_commits")
-            .and_then(Value::as_u64)
-            .is_some_and(|n| n > 0));
         server.shutdown();
     }
 

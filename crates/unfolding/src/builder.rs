@@ -1,29 +1,18 @@
 //! The ERV unfolding algorithm: construction of a finite complete
-//! prefix of a safe net system.
+//! prefix of a safe net system (see `docs/UNFOLDING.md`).
 //!
-//! Construction is split into two roles (see `docs/UNFOLDING.md`):
-//!
-//! * **possible-extensions discovery** — for each freshly integrated
-//!   condition, enumerate the co-sets completing a transition preset.
-//!   This is a pure read of the occurrence net built so far and is the
-//!   hot loop of the whole algorithm; with
-//!   [`UnfoldOptions::threads`] > 1 it fans out over a fixed worker
-//!   pool.
-//! * **sequential commit** — pop the adequate-order queue, insert
-//!   events, decide cut-offs. This stays on one thread so the prefix
-//!   is canonical: for any thread count the result is bit-identical
-//!   (same events in the same order, same [`OrderKey`]s, same cut-off
-//!   mates) to the serial construction.
+//! One [`Builder`] owns the occurrence net under construction and the
+//! adequate-order queue of possible extensions. It pops the smallest
+//! extension, inserts it as an event, decides whether it is a cut-off
+//! and, if not, integrates its postset conditions and discovers the
+//! extensions each of them completes. The prefix is canonical: the
+//! queue breaks key ties by insertion order, so the same net system
+//! always yields the same events in the same order.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread;
-use std::time::{Duration, Instant};
 
 use petri::{BitSet, Marking, Net, PlaceId, StopGuard, StopReason, TransitionId};
 use stg::Stg;
@@ -43,8 +32,7 @@ use crate::order::{OrderKey, OrderStrategy};
 ///
 /// let options = UnfoldOptions::new()
 ///     .order(OrderStrategy::McMillan)
-///     .max_events(10_000)
-///     .threads(2);
+///     .max_events(10_000);
 /// assert_eq!(options.max_events, 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,21 +43,14 @@ pub struct UnfoldOptions {
     pub max_events: usize,
     /// The adequate order used for queueing and cut-offs.
     pub order: OrderStrategy,
-    /// Worker threads for possible-extensions discovery. `1` (the
-    /// default) computes extensions inline on the commit thread; `0`
-    /// requests one worker per available CPU. The resulting prefix is
-    /// bit-identical for every value — only wall-clock time changes.
-    pub threads: usize,
 }
 
 impl UnfoldOptions {
-    /// The default options: ERV total order, 200 000-event cap,
-    /// inline (single-threaded) extension discovery.
+    /// The default options: ERV total order, 200 000-event cap.
     pub fn new() -> Self {
         UnfoldOptions {
             max_events: 200_000,
             order: OrderStrategy::ErvTotal,
-            threads: 1,
         }
     }
 
@@ -86,24 +67,6 @@ impl UnfoldOptions {
         self.order = order;
         self
     }
-
-    /// Sets the possible-extensions worker count (`0` = one per
-    /// available CPU).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The concrete worker count [`UnfoldOptions::threads`] resolves
-    /// to on this machine (`0` queries available parallelism).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        }
-    }
 }
 
 impl Default for UnfoldOptions {
@@ -114,13 +77,6 @@ impl Default for UnfoldOptions {
 
 /// Counters from one prefix construction, kept on the finished
 /// [`Prefix`] (see [`Prefix::unfold_stats`]).
-///
-/// `par_time` covers possible-extensions discovery — the phase the
-/// worker pool parallelises, including dispatch and collection —
-/// while `serial_time` covers the rest of the construction (the
-/// sequential commit loop). On a single CPU `par_time` with workers
-/// is expected to *exceed* the inline figure; the split is recorded
-/// so benchmarks can report the honest ratio either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct UnfoldStats {
@@ -128,13 +84,6 @@ pub struct UnfoldStats {
     pub pe_discovered: u64,
     /// Events committed to the prefix (cut-offs included).
     pub pe_commits: u64,
-    /// Worker threads used for discovery (1 = inline on the commit
-    /// thread).
-    pub workers: u32,
-    /// Wall-clock spent in possible-extensions discovery.
-    pub par_time: Duration,
-    /// Wall-clock spent in the sequential commit loop.
-    pub serial_time: Duration,
 }
 
 /// An error during prefix construction.
@@ -181,7 +130,8 @@ impl fmt::Display for UnfoldError {
 impl Error for UnfoldError {}
 
 /// A possible extension: a transition plus a co-set of conditions
-/// matching its preset.
+/// matching its preset. `seq` is its position in discovery order,
+/// assigned when it is queued.
 struct Pe {
     key: OrderKey,
     transition: TransitionId,
@@ -218,30 +168,11 @@ impl PartialOrd for Pe {
     }
 }
 
-/// A discovered possible extension, before it is assigned a queue
-/// sequence number by the commit loop.
-struct PeCand {
-    key: OrderKey,
-    transition: TransitionId,
-    preset: Vec<CondId>,
-    depth: u32,
-}
-
-fn read_core<'l, 'a>(lock: &'l RwLock<Core<'a>>) -> RwLockReadGuard<'l, Core<'a>> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_core<'l, 'a>(lock: &'l RwLock<Core<'a>>) -> RwLockWriteGuard<'l, Core<'a>> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The occurrence net under construction: everything possible-
-/// extensions discovery reads. The commit loop is the sole writer
-/// (behind the `RwLock` write guard); workers take read guards per
-/// task, so discovery observes a quiescent net between commits.
-struct Core<'a> {
+/// The prefix under construction together with the queue of possible
+/// extensions and the cut-off table.
+struct Builder<'a> {
     net: &'a Net,
-    order: OrderStrategy,
+    options: UnfoldOptions,
     conds: Vec<CondData>,
     events: Vec<EventData>,
     min_conds: Vec<CondId>,
@@ -250,19 +181,30 @@ struct Core<'a> {
     co_capacity: usize,
     /// Extendable conditions per original place.
     place_conds: Vec<Vec<CondId>>,
+    queue: BinaryHeap<Pe>,
+    /// `Mark([e]) → (key, mate)` entries for the cut-off test.
+    mark_table: HashMap<Marking, Vec<(OrderKey, CutoffMate)>>,
+    num_cutoffs: usize,
+    seq: u64,
+    stats: UnfoldStats,
 }
 
-impl<'a> Core<'a> {
-    fn new(net: &'a Net, order: OrderStrategy) -> Self {
-        Core {
+impl<'a> Builder<'a> {
+    fn new(net: &'a Net, options: UnfoldOptions) -> Self {
+        Builder {
             net,
-            order,
+            options,
             conds: Vec::new(),
             events: Vec::new(),
             min_conds: Vec::new(),
             co: Vec::new(),
             co_capacity: 256,
             place_conds: vec![Vec::new(); net.num_places()],
+            queue: BinaryHeap::new(),
+            mark_table: HashMap::new(),
+            num_cutoffs: 0,
+            seq: 0,
+            stats: UnfoldStats::default(),
         }
     }
 
@@ -315,7 +257,7 @@ impl<'a> Core<'a> {
         }
         let depth = depth + 1;
         let size = history.len() as u32 + 1;
-        let (parikh, foata) = match self.order {
+        let (parikh, foata) = match self.options.order {
             OrderStrategy::McMillan => (Vec::new(), Vec::new()),
             OrderStrategy::ErvTotal => {
                 let nt = self.net.num_transitions();
@@ -367,14 +309,12 @@ impl<'a> Core<'a> {
         m
     }
 
-    /// The possible extensions in which `b` participates as the
-    /// maximal (most recently added) condition: a pure read of the
-    /// net built so far. The output order — transitions in
-    /// `place_postset` order, co-sets in DFS order over
-    /// size-sorted candidate slots — is what makes parallel discovery
-    /// reproduce the serial queue exactly.
-    fn compute_extensions(&self, b: CondId) -> Vec<PeCand> {
-        let mut out = Vec::new();
+    /// Queues the possible extensions in which `b` participates as
+    /// the maximal (most recently added) condition, numbering them in
+    /// discovery order: transitions in `place_postset` order, co-sets
+    /// in DFS order over size-sorted candidate slots.
+    fn discover(&mut self, b: CondId) {
+        let mut found = Vec::new();
         let place = self.conds[b.index()].place;
         for &t in self.net.place_postset(place) {
             let preset_places = self.net.preset(t);
@@ -401,9 +341,14 @@ impl<'a> Core<'a> {
             }
             slots.sort_by_key(|(_, cands)| cands.len());
             let mut chosen: Vec<CondId> = Vec::with_capacity(slots.len());
-            self.search_cosets(t, b, &slots, &mut chosen, &mut out);
+            self.search_cosets(t, b, &slots, &mut chosen, &mut found);
         }
-        out
+        for mut pe in found {
+            self.seq += 1;
+            self.stats.pe_discovered += 1;
+            pe.seq = self.seq;
+            self.queue.push(pe);
+        }
     }
 
     fn search_cosets(
@@ -412,18 +357,19 @@ impl<'a> Core<'a> {
         b: CondId,
         slots: &[(PlaceId, Vec<CondId>)],
         chosen: &mut Vec<CondId>,
-        out: &mut Vec<PeCand>,
+        out: &mut Vec<Pe>,
     ) {
         if chosen.len() == slots.len() {
             let mut preset: Vec<CondId> = chosen.clone();
             preset.push(b);
             preset.sort_unstable();
             let (key, depth, _history) = self.extension_key(t, &preset);
-            out.push(PeCand {
+            out.push(Pe {
                 key,
                 transition: t,
                 preset,
                 depth,
+                seq: 0,
             });
             return;
         }
@@ -442,8 +388,7 @@ impl<'a> Core<'a> {
 
     /// Integrates a freshly created extendable condition: computes
     /// its concurrency set, checks safety, and registers it for
-    /// discovery. Extension discovery itself happens separately (and
-    /// possibly concurrently) once every sibling is integrated —
+    /// discovery. Discovery runs once every sibling is integrated —
     /// candidates are filtered by `c < b`, so sibling registration
     /// order cannot change any condition's extension set.
     ///
@@ -506,137 +451,10 @@ impl<'a> Core<'a> {
         self.place_conds[place.index()].push(b);
         Ok(())
     }
-}
 
-/// A discovery task: the index of the condition within the current
-/// batch (so results can be re-sequenced) and the condition itself.
-type Task = (usize, CondId);
-type TaskResult = (usize, thread::Result<Vec<PeCand>>);
-
-fn worker_loop(lock: &RwLock<Core<'_>>, tasks: &Receiver<Task>, results: &Sender<TaskResult>) {
-    while let Ok((idx, b)) = tasks.recv() {
-        // Contain panics so a bug in discovery surfaces as a panic on
-        // the commit thread instead of a hung channel.
-        let outcome =
-            panic::catch_unwind(AssertUnwindSafe(|| read_core(lock).compute_extensions(b)));
-        if results.send((idx, outcome)).is_err() {
-            break;
-        }
-    }
-}
-
-/// Where possible-extensions discovery runs: inline on the commit
-/// thread, or fanned out over a fixed worker pool.
-enum PeDiscovery {
-    Inline,
-    Pool {
-        task_txs: Vec<Sender<Task>>,
-        result_rx: Receiver<TaskResult>,
-    },
-}
-
-impl PeDiscovery {
-    /// Discovers the extensions of `conds` (a batch of freshly
-    /// integrated conditions) and returns them batch-ordered, so the
-    /// commit loop pushes candidates in exactly the serial order.
-    fn discover(&mut self, lock: &RwLock<Core<'_>>, conds: &[CondId]) -> Vec<Vec<PeCand>> {
-        match self {
-            PeDiscovery::Inline => conds
-                .iter()
-                .map(|&b| read_core(lock).compute_extensions(b))
-                .collect(),
-            PeDiscovery::Pool {
-                task_txs,
-                result_rx,
-            } => {
-                for (idx, &b) in conds.iter().enumerate() {
-                    // A dead worker surfaces below as a short result
-                    // count, so a send error needs no handling here.
-                    let _ = task_txs[idx % task_txs.len()].send((idx, b));
-                }
-                let mut slots: Vec<Option<Vec<PeCand>>> = conds.iter().map(|_| None).collect();
-                for _ in 0..conds.len() {
-                    match result_rx.recv() {
-                        Ok((idx, Ok(cands))) => slots[idx] = Some(cands),
-                        Ok((_, Err(payload))) => panic::resume_unwind(payload),
-                        Err(_) => unreachable!("PE worker pool disconnected"),
-                    }
-                }
-                slots.into_iter().flatten().collect()
-            }
-        }
-    }
-}
-
-/// The state owned exclusively by the sequential commit loop.
-struct Commit {
-    options: UnfoldOptions,
-    queue: BinaryHeap<Pe>,
-    /// `Mark([e]) → (key, mate)` entries for the cut-off test.
-    mark_table: HashMap<Marking, Vec<(OrderKey, CutoffMate)>>,
-    num_cutoffs: usize,
-    seq: u64,
-    stats: UnfoldStats,
-}
-
-impl Commit {
-    fn new(options: UnfoldOptions, workers: usize) -> Self {
-        Commit {
-            options,
-            queue: BinaryHeap::new(),
-            mark_table: HashMap::new(),
-            num_cutoffs: 0,
-            seq: 0,
-            stats: UnfoldStats {
-                workers: workers as u32,
-                ..UnfoldStats::default()
-            },
-        }
-    }
-
-    /// Discovers and enqueues the extensions of a batch of freshly
-    /// integrated conditions, assigning queue sequence numbers in
-    /// batch order — identical to the serial push order.
-    fn enqueue_extensions(
-        &mut self,
-        lock: &RwLock<Core<'_>>,
-        discovery: &mut PeDiscovery,
-        conds: &[CondId],
-    ) {
-        if conds.is_empty() {
-            return;
-        }
-        let started = Instant::now();
-        let batches = discovery.discover(lock, conds);
-        self.stats.par_time += started.elapsed();
-        for cands in batches {
-            for cand in cands {
-                self.seq += 1;
-                self.stats.pe_discovered += 1;
-                self.queue.push(Pe {
-                    key: cand.key,
-                    transition: cand.transition,
-                    preset: cand.preset,
-                    depth: cand.depth,
-                    seq: self.seq,
-                });
-            }
-        }
-    }
-
-    fn run(
-        &mut self,
-        lock: &RwLock<Core<'_>>,
-        discovery: &mut PeDiscovery,
-        m0: &Marking,
-        guard: &StopGuard,
-    ) -> Result<(), UnfoldError> {
+    fn run(&mut self, m0: &Marking, guard: &StopGuard) -> Result<(), UnfoldError> {
         // Seed the cut-off table with the empty configuration.
-        let (nt, order) = {
-            let core = read_core(lock);
-            (core.net.num_transitions(), core.order)
-        };
-        let empty_key = match order {
+        let empty_key = match self.options.order {
             OrderStrategy::McMillan => OrderKey {
                 size: 0,
                 parikh: Vec::new(),
@@ -644,7 +462,7 @@ impl Commit {
             },
             OrderStrategy::ErvTotal => OrderKey {
                 size: 0,
-                parikh: vec![0u16; nt],
+                parikh: vec![0u16; self.net.num_transitions()],
                 foata: Vec::new(),
             },
         };
@@ -652,35 +470,30 @@ impl Commit {
             .insert(m0.clone(), vec![(empty_key, CutoffMate::Initial)]);
 
         // Minimal conditions, one per token.
-        let mins = {
-            let mut core = write_core(lock);
-            for p in m0.marked_places() {
-                if m0.tokens(p) > 1 {
-                    return Err(UnfoldError::UnsafeNet { place: p });
-                }
-                let b = core.new_condition(p, None, false);
-                core.min_conds.push(b);
+        for p in m0.marked_places() {
+            if m0.tokens(p) > 1 {
+                return Err(UnfoldError::UnsafeNet { place: p });
             }
-            let mins = core.min_conds.clone();
-            for &b in &mins {
-                core.integrate_condition(b, None, &[])?;
-            }
-            mins
-        };
-        self.enqueue_extensions(lock, discovery, &mins);
+            let b = self.new_condition(p, None, false);
+            self.min_conds.push(b);
+        }
+        let mins = self.min_conds.clone();
+        for &b in &mins {
+            self.integrate_condition(b, None, &[])?;
+        }
+        for &b in &mins {
+            self.discover(b);
+        }
 
         while let Some(pe) = self.queue.pop() {
             if let Err(reason) = guard.poll_now() {
                 return Err(UnfoldError::Interrupted {
                     reason,
-                    events: read_core(lock).events.len(),
+                    events: self.events.len(),
                 });
             }
-            {
-                let core = read_core(lock);
-                if core.events.len() >= self.options.max_events {
-                    return Err(UnfoldError::TooManyEvents(self.options.max_events));
-                }
+            if self.events.len() >= self.options.max_events {
+                return Err(UnfoldError::TooManyEvents(self.options.max_events));
             }
             let Pe {
                 key,
@@ -689,62 +502,76 @@ impl Commit {
                 depth,
                 ..
             } = pe;
-            let (marking, postset, is_cutoff, id) = {
-                let mut core = write_core(lock);
-                let (_, _, history) = core.extension_key(transition, &preset);
-                let marking = core.extension_marking(transition, &preset, &history);
+            let (_, _, history) = self.extension_key(transition, &preset);
+            let marking = self.extension_marking(transition, &preset, &history);
 
-                let mate = self.mark_table.get(&marking).and_then(|entries| {
-                    entries
-                        .iter()
-                        .find(|(k, _)| k.is_strictly_less(&key, self.options.order))
-                        .map(|&(_, mate)| mate)
-                });
+            let mate = self.mark_table.get(&marking).and_then(|entries| {
+                entries
+                    .iter()
+                    .find(|(k, _)| k.is_strictly_less(&key, self.options.order))
+                    .map(|&(_, mate)| mate)
+            });
 
-                let id = EventId::from_index(core.events.len());
-                let mut local = history;
-                local.grow(id.index() + 1);
-                local.insert(id.index());
-                let size = local.len() as u32;
-                for &b in &preset {
-                    core.conds[b.index()].consumers.push(id);
-                }
-                let is_cutoff = mate.is_some();
-                let mut postset = Vec::new();
-                for &p in core.net.postset(transition) {
-                    let b = core.new_condition(p, Some(id), is_cutoff);
-                    postset.push(b);
-                }
-                core.events.push(EventData {
-                    transition,
-                    preset,
-                    postset: postset.clone(),
-                    cutoff: mate,
-                    key: key.clone(),
-                    local,
-                    size,
-                    depth,
-                });
-                if !is_cutoff {
-                    for &b in &postset {
-                        core.integrate_condition(b, Some(id), &postset)?;
-                    }
-                }
-                (marking, postset, is_cutoff, id)
-            };
+            let id = EventId::from_index(self.events.len());
+            let mut local = history;
+            local.grow(id.index() + 1);
+            local.insert(id.index());
+            let size = local.len() as u32;
+            for &b in &preset {
+                self.conds[b.index()].consumers.push(id);
+            }
+            let is_cutoff = mate.is_some();
+            let net = self.net;
+            let postset: Vec<CondId> = net
+                .postset(transition)
+                .iter()
+                .map(|&p| self.new_condition(p, Some(id), is_cutoff))
+                .collect();
+            self.events.push(EventData {
+                transition,
+                preset,
+                postset: postset.clone(),
+                cutoff: mate,
+                key: key.clone(),
+                local,
+                size,
+                depth,
+            });
             self.stats.pe_commits += 1;
 
             if is_cutoff {
                 self.num_cutoffs += 1;
-            } else {
-                self.mark_table
-                    .entry(marking)
-                    .or_default()
-                    .push((key, CutoffMate::Event(id)));
-                self.enqueue_extensions(lock, discovery, &postset);
+                continue;
+            }
+            for &b in &postset {
+                self.integrate_condition(b, Some(id), &postset)?;
+            }
+            self.mark_table
+                .entry(marking)
+                .or_default()
+                .push((key, CutoffMate::Event(id)));
+            for &b in &postset {
+                self.discover(b);
             }
         }
         Ok(())
+    }
+
+    fn finish(mut self) -> Prefix {
+        // Normalise local-configuration capacities for callers.
+        let n = self.events.len();
+        for e in &mut self.events {
+            e.local.grow(n);
+        }
+        Prefix {
+            conds: self.conds,
+            events: self.events,
+            min_conds: self.min_conds,
+            num_cutoffs: self.num_cutoffs,
+            num_places: self.net.num_places(),
+            num_transitions: self.net.num_transitions(),
+            stats: self.stats,
+        }
     }
 }
 
@@ -754,53 +581,9 @@ fn unfold_with(
     options: UnfoldOptions,
     guard: &StopGuard,
 ) -> Result<Prefix, UnfoldError> {
-    let workers = options.resolved_threads().max(1);
-    let lock = RwLock::new(Core::new(net, options.order));
-    let mut commit = Commit::new(options, workers);
-    let started = Instant::now();
-    if workers <= 1 {
-        commit.run(&lock, &mut PeDiscovery::Inline, m0, guard)?;
-    } else {
-        thread::scope(|scope| {
-            let (result_tx, result_rx) = mpsc::channel();
-            let task_txs: Vec<Sender<Task>> = (0..workers)
-                .map(|_| {
-                    let (task_tx, task_rx) = mpsc::channel();
-                    let result_tx = result_tx.clone();
-                    let lock = &lock;
-                    scope.spawn(move || worker_loop(lock, &task_rx, &result_tx));
-                    task_tx
-                })
-                .collect();
-            drop(result_tx);
-            let mut discovery = PeDiscovery::Pool {
-                task_txs,
-                result_rx,
-            };
-            let outcome = commit.run(&lock, &mut discovery, m0, guard);
-            // Dropping the task senders disconnects the workers, so
-            // the scope's implicit join cannot hang.
-            drop(discovery);
-            outcome
-        })?;
-    }
-    commit.stats.serial_time = started.elapsed().saturating_sub(commit.stats.par_time);
-    let mut core = lock.into_inner().unwrap_or_else(PoisonError::into_inner);
-
-    // Normalise local-configuration capacities for callers.
-    let n = core.events.len();
-    for e in &mut core.events {
-        e.local.grow(n);
-    }
-    Ok(Prefix {
-        conds: core.conds,
-        events: core.events,
-        min_conds: core.min_conds,
-        num_cutoffs: commit.num_cutoffs,
-        num_places: net.num_places(),
-        num_transitions: net.num_transitions(),
-        stats: commit.stats,
-    })
+    let mut builder = Builder::new(net, options);
+    builder.run(m0, guard)?;
+    Ok(builder.finish())
 }
 
 impl Prefix {
@@ -1048,72 +831,8 @@ mod tests {
         assert!(mcm.num_events() >= erv.num_events());
     }
 
-    /// Every structural component of two prefixes must coincide —
-    /// the bit-identity contract of parallel discovery.
-    fn assert_identical(a: &Prefix, b: &Prefix) {
-        assert_eq!(a.num_events(), b.num_events());
-        assert_eq!(a.num_conditions(), b.num_conditions());
-        assert_eq!(a.num_cutoffs(), b.num_cutoffs());
-        assert_eq!(a.min_conditions(), b.min_conditions());
-        for e in a.events() {
-            assert_eq!(a.event_transition(e), b.event_transition(e));
-            assert_eq!(a.event_preset(e), b.event_preset(e));
-            assert_eq!(a.event_postset(e), b.event_postset(e));
-            assert_eq!(a.cutoff_mate(e), b.cutoff_mate(e));
-            assert_eq!(a.order_key(e), b.order_key(e));
-            assert_eq!(a.depth(e), b.depth(e));
-            assert_eq!(a.local_config(e), b.local_config(e));
-        }
-        for c in a.conditions() {
-            assert_eq!(a.cond_place(c), b.cond_place(c));
-            assert_eq!(a.cond_producer(c), b.cond_producer(c));
-            assert_eq!(a.cond_consumers(c), b.cond_consumers(c));
-            assert_eq!(a.cond_from_cutoff(c), b.cond_from_cutoff(c));
-        }
-    }
-
     #[test]
-    fn parallel_discovery_is_bit_identical() {
-        let stg = stg::gen::vme::vme_read();
-        let serial = Prefix::of_stg(&stg, UnfoldOptions::default()).unwrap();
-        assert_eq!(serial.unfold_stats().workers, 1);
-        for threads in [2, 3, 4] {
-            let par = Prefix::of_stg(&stg, UnfoldOptions::new().threads(threads)).unwrap();
-            assert_eq!(par.unfold_stats().workers, threads as u32);
-            assert_eq!(
-                par.unfold_stats().pe_discovered,
-                serial.unfold_stats().pe_discovered
-            );
-            assert_eq!(
-                par.unfold_stats().pe_commits,
-                serial.unfold_stats().pe_commits
-            );
-            assert_identical(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn parallel_discovery_matches_under_mcmillan() {
-        let (net, m0) = parallel();
-        let serial = Prefix::unfold(
-            &net,
-            &m0,
-            UnfoldOptions::new().order(OrderStrategy::McMillan),
-        )
-        .unwrap();
-        let par = Prefix::unfold(
-            &net,
-            &m0,
-            UnfoldOptions::new()
-                .order(OrderStrategy::McMillan)
-                .threads(4),
-        )
-        .unwrap();
-        assert_identical(&serial, &par);
-    }
-
-    #[test]
-    fn parallel_unsafe_net_rejected() {
+    fn concurrent_tokens_on_one_place_rejected() {
         let mut b = NetBuilder::new();
         let p = b.add_place("p");
         let q = b.add_place("q");
@@ -1127,41 +846,9 @@ mod tests {
         let net = b.build().unwrap();
         let m0 = Marking::with_tokens(3, &[(p, 1), (q, 1)]);
         assert!(matches!(
-            Prefix::unfold(&net, &m0, UnfoldOptions::new().threads(4)),
+            Prefix::unfold(&net, &m0, UnfoldOptions::default()),
             Err(UnfoldError::UnsafeNet { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_guard_interrupts() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        let (net, m0) = parallel();
-        let flag = Arc::new(AtomicBool::new(true));
-        let guard = StopGuard::new(Some(flag), None);
-        let err = Prefix::unfold_guarded(&net, &m0, UnfoldOptions::new().threads(2), &guard)
-            .expect_err("pre-cancelled guard must interrupt");
-        assert!(matches!(err, UnfoldError::Interrupted { .. }));
-    }
-
-    #[test]
-    fn parallel_event_limit_enforced() {
-        let (net, m0) = parallel();
-        assert!(matches!(
-            Prefix::unfold(&net, &m0, UnfoldOptions::new().max_events(1).threads(2)),
-            Err(UnfoldError::TooManyEvents(1))
-        ));
-    }
-
-    #[test]
-    fn auto_thread_count_resolves() {
-        let options = UnfoldOptions::new().threads(0);
-        assert!(options.resolved_threads() >= 1);
-        let (net, m0) = parallel();
-        let auto = Prefix::unfold(&net, &m0, options).unwrap();
-        let serial = Prefix::unfold(&net, &m0, UnfoldOptions::default()).unwrap();
-        assert_identical(&serial, &auto);
     }
 
     #[test]

@@ -26,11 +26,7 @@
 //! race of the base engines). The `usc`/`csc` commands also accept
 //! budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
-//! code 3. Commands that build a prefix (`unfold`, `usc`, `csc`,
-//! `check`) accept `--unfold-threads N` to parallelise
-//! possible-extensions discovery (`0` = auto-detect); the prefix is
-//! bit-identical for every thread count, so this only changes
-//! wall-clock time.
+//! code 3.
 //!
 //! With `--server HOST:PORT` the `usc`/`csc`/`synthesize` commands
 //! ship the job to a running `stgd` instead of working in-process;
@@ -65,6 +61,8 @@
 //! signal lock-relation graph. No state space is explored. Exit code
 //! 2 only when the input fails to parse, 0 otherwise.
 //!
+//! An unknown `--flag` is a usage error.
+//!
 //! Exit codes: 0 = property holds / ok, 1 = conflict found, 2 = usage
 //! or processing error, 3 = inconclusive (budget exhausted).
 
@@ -73,8 +71,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stg_coding_conflicts::csc_core::{
-    Artifacts, Budget, CheckOutcome, CheckRequest, Checker, CheckerOptions, Engine, Property,
-    ResourceReport, Verdict,
+    Artifacts, Budget, CheckOutcome, CheckRequest, Checker, Engine, Property, ResourceReport,
+    Verdict,
 };
 use stg_coding_conflicts::lint;
 use stg_coding_conflicts::server::protocol::{engine_from_str, engine_names, BudgetSpec};
@@ -98,10 +96,44 @@ fn usage() -> String {
         "usage: stgcheck <lint|structure|info|unfold|usc|csc|check|normalcy|deadlock|report|synth|\
          resolve|synthesize|dot|gen> ... \
          [--engine {}] [--timeout-ms N] [--max-events N] \
-         [--unfold-threads N] [--max-signals N] [--server HOST:PORT] [--format human|json] \
+         [--max-signals N] [--server HOST:PORT] [--format human|json] \
          [--no-lp] [--to-g]",
         engine_names()
     )
+}
+
+/// Every flag `stgcheck` knows, and whether it takes a value.
+const FLAGS: [(&str, bool); 11] = [
+    ("--engine", true),
+    ("--timeout-ms", true),
+    ("--max-events", true),
+    ("--max-signals", true),
+    ("--server", true),
+    ("--format", true),
+    ("--no-lp", false),
+    ("--to-g", false),
+    ("--dot", false),
+    ("--mcmillan", false),
+    ("--resolved", false),
+];
+
+/// Rejects the first `--flag` not in [`FLAGS`]; the argument after a
+/// value-taking flag is its value, not a flag.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match FLAGS.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Err(format!("unknown flag `{arg}`")),
+        }
+    }
+    Ok(())
 }
 
 /// Returns the process exit code (0 ok, 1 conflict, 3 inconclusive).
@@ -113,6 +145,7 @@ fn run(args: &[String]) -> Result<u8, String> {
         println!("{}", usage());
         return Ok(0);
     }
+    check_flags(&args[1..])?;
     if command == "gen" {
         return generate(&args[1..]).map(exit_code);
     }
@@ -263,38 +296,14 @@ fn server_flag(flags: &[String]) -> Result<Option<String>, String> {
     }
 }
 
-/// Parses `--unfold-threads N`; `None` when the flag is absent. `0`
-/// requests one possible-extensions worker per available CPU; the
-/// prefix is bit-identical for every value.
-fn unfold_threads_flag(flags: &[String]) -> Result<Option<usize>, String> {
-    match flags.iter().position(|f| f == "--unfold-threads") {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| "--unfold-threads needs a numeric argument".to_owned()),
-    }
-}
-
 /// Parses `--timeout-ms N` / `--max-events N` into a [`Budget`].
 fn budget_flags(flags: &[String]) -> Result<Budget, String> {
-    let numeric = |name: &str| -> Result<Option<u64>, String> {
-        match flags.iter().position(|f| f == name) {
-            None => Ok(None),
-            Some(i) => flags
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .map(Some)
-                .ok_or_else(|| format!("{name} needs a numeric argument")),
-        }
-    };
     let mut budget = Budget::unlimited();
-    if let Some(ms) = numeric("--timeout-ms")? {
-        budget = budget.with_deadline(Duration::from_millis(ms));
+    if let Some(ms) = numeric_flag(flags, "--timeout-ms")? {
+        budget = budget.with_deadline(Duration::from_millis(ms as u64));
     }
-    if let Some(n) = numeric("--max-events")? {
-        budget = budget.with_max_events(n as usize);
+    if let Some(n) = numeric_flag(flags, "--max-events")? {
+        budget = budget.with_max_events(n);
     }
     Ok(budget)
 }
@@ -328,9 +337,8 @@ fn unfold(model: &Stg, flags: &[String]) -> Result<bool, String> {
     } else {
         OrderStrategy::ErvTotal
     };
-    let threads = unfold_threads_flag(flags)?.unwrap_or(1);
-    let prefix = Prefix::of_stg(model, UnfoldOptions::new().order(order).threads(threads))
-        .map_err(|e| e.to_string())?;
+    let prefix =
+        Prefix::of_stg(model, UnfoldOptions::new().order(order)).map_err(|e| e.to_string())?;
     if flags.iter().any(|f| f == "--dot") {
         print!("{}", unfolding::dot::to_dot(&prefix, model, "prefix"));
     } else {
@@ -350,15 +358,10 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
     }
     let engine = engine_flag(flags)?.unwrap_or(Engine::UnfoldingIlp);
     let budget = budget_flags(flags)?;
-    let threads = unfold_threads_flag(flags)?;
     let unbudgeted = budget.deadline.is_none() && budget.max_events.is_none();
     if engine == Engine::UnfoldingIlp && unbudgeted {
         // Use the full checker so we can print witnesses.
-        let mut options = CheckerOptions::default();
-        if let Some(n) = threads {
-            options.unfold = options.unfold.threads(n);
-        }
-        let checker = Checker::with_options(model, options).map_err(|e| e.to_string())?;
+        let checker = Checker::new(model).map_err(|e| e.to_string())?;
         let outcome = match property {
             Property::Usc => checker.check_usc(),
             Property::Csc => checker.check_csc(),
@@ -376,13 +379,11 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
             }
         }
     } else {
-        let mut request = CheckRequest::new(model, property)
+        let run = CheckRequest::new(model, property)
             .engine(engine)
-            .budget(budget);
-        if let Some(n) = threads {
-            request = request.unfold_threads(n);
-        }
-        let run = request.run().map_err(|e| e.to_string())?;
+            .budget(budget)
+            .run()
+            .map_err(|e| e.to_string())?;
         let code = match run.verdict {
             Verdict::Holds => {
                 println!("{property:?}: satisfied");
@@ -400,27 +401,15 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
                 3
             }
         };
-        print_bdd_stats(&run.report);
+        print_engine_stats(&run.report);
         Ok(code)
     }
 }
 
-/// Prints the BDD manager counters when the run touched the symbolic
-/// stage (peak/live nodes, collections, sifting passes).
-fn print_bdd_stats(report: &ResourceReport) {
-    if let Some(stats) = &report.unfold {
-        if stats.workers > 1 {
-            println!(
-                "  unfold: {} extension(s) discovered over {} commit(s) by {} worker(s), \
-                 {:?} parallel / {:?} sequential",
-                stats.pe_discovered,
-                stats.pe_commits,
-                stats.workers,
-                stats.par_time,
-                stats.serial_time
-            );
-        }
-    }
+/// Prints the engine counters a run recorded: the BDD manager's when
+/// it touched the symbolic stage (peak/live nodes, collections,
+/// sifting passes) and CEGAR's when the state-equation engine ran.
+fn print_engine_stats(report: &ResourceReport) {
     if let Some(stats) = &report.bdd {
         println!(
             "  bdd: {} peak live nodes ({} live at end), {} gc run(s), {} reorder pass(es)",
@@ -448,18 +437,15 @@ fn print_bdd_stats(report: &ResourceReport) {
 fn check_all(model: &Stg, flags: &[String]) -> Result<u8, String> {
     let engine = engine_flag(flags)?.unwrap_or(Engine::UnfoldingIlp);
     let budget = budget_flags(flags)?;
-    let threads = unfold_threads_flag(flags)?;
     let artifacts = Artifacts::of(model);
     let mut worst = 0u8;
     for property in [Property::Usc, Property::Csc, Property::Normalcy] {
-        let mut request = CheckRequest::new(model, property)
+        let run = CheckRequest::new(model, property)
             .engine(engine)
             .budget(budget.clone())
-            .artifacts(&artifacts);
-        if let Some(n) = threads {
-            request = request.unfold_threads(n);
-        }
-        let run = request.run().map_err(|e| e.to_string())?;
+            .artifacts(&artifacts)
+            .run()
+            .map_err(|e| e.to_string())?;
         let built = run
             .report
             .prefix_events_built
@@ -481,7 +467,7 @@ fn check_all(model: &Stg, flags: &[String]) -> Result<u8, String> {
                 3
             }
         };
-        print_bdd_stats(&run.report);
+        print_engine_stats(&run.report);
         // Conflicts dominate inconclusive results, which dominate ok.
         worst = match (worst, code) {
             (1, _) | (_, 1) => 1,

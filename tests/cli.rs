@@ -85,6 +85,24 @@ fn errors_exit_2() {
 }
 
 #[test]
+fn unknown_flags_exit_2() {
+    for (flag, value) in [("--unfold-threads", "2"), ("--timout-ms", "10")] {
+        let out = stgcheck(&["csc", "assets/vme_read.g", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+    // The value after a known flag is not a flag, even when it looks
+    // like one: `--engine` reports the bad engine name instead.
+    let out = stgcheck(&["csc", "assets/vme_read.g", "--engine", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --engine --bogus"));
+}
+
+#[test]
 fn mcmillan_prefix_not_smaller() {
     let erv = stdout(&stgcheck(&["unfold", "assets/vme_read.g"]));
     let mcm = stdout(&stgcheck(&["unfold", "assets/vme_read.g", "--mcmillan"]));
