@@ -196,14 +196,14 @@ pub struct TableRow {
     /// The CEGAR verdict: `"holds"`, `"violated"`, or
     /// `"unknown: <reason>"`.
     pub cegar_verdict: String,
-    /// Resolution outcome for conflicted rows: `"resolved"`,
+    /// Resolver outcome for conflicted rows: `"resolved"`,
     /// `"failed: <n> remaining"`, `"aborted: <reason>"`, `"skipped:
     /// check inconclusive"`, or `"-"` on the conflict-free half
     /// (nothing to resolve).
     pub resolve_outcome: String,
     /// State signals the resolver inserted (`None` unless resolved).
     pub resolve_signals: Option<usize>,
-    /// Resolution wall-clock, milliseconds (0 when not attempted).
+    /// Resolver wall-clock, milliseconds (0 when not attempted).
     pub resolve_ms: f64,
     /// Prefix events built by a *cold* re-verification of the
     /// resolved net from a fresh artifact set.
@@ -413,7 +413,7 @@ pub fn run_row(model: &BenchModel, budget: &Budget) -> TableRow {
     // A definite CEGAR verdict must match the expectation too; an
     // abstention is not a mismatch.
         && cegar_csc.is_none_or(|v| v == model.expect_csc)
-    // Resolution soundness: a resolved row must re-prove CSC both
+    // Resolver soundness: a resolved row must re-prove CSC both
     // warm and cold, and the warm leg must be fully incremental (no
     // prefix events rebuilt). Aborted/skipped rows are inconclusive,
     // but "already satisfied" contradicts the confirmed conflict.

@@ -429,9 +429,8 @@ impl<'a> CheckRequest<'a> {
 }
 
 /// Lint options whose LP polls `guard`: the check's deadline and every
-/// cancellation flag. Used by the prelint stage and by the synthesis
-/// pipeline's lint stage.
-pub(crate) fn lint_options(guard: &StopGuard) -> lint::LintOptions {
+/// cancellation flag. Used by the prelint stage.
+fn lint_options(guard: &StopGuard) -> lint::LintOptions {
     let mut options = lint::LintOptions::default();
     options.lp_options.guard = guard.clone();
     options

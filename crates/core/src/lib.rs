@@ -25,6 +25,10 @@
 //!   unfolds once and the race of [`Engine::Race`] hands all racers one
 //!   artifact set.
 //!
+//! Synthesis — state-signal insertion and next-state equations — sits
+//! above this crate: the `resolve` crate's `synthesize` runs it over
+//! plain [`CheckRequest`]s and [`Artifacts`] sets.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,7 +59,6 @@ pub mod engine;
 mod error;
 mod exprs;
 pub mod limits;
-pub mod pipeline;
 pub mod reach;
 mod report;
 mod witness;
@@ -69,10 +72,6 @@ pub use error::CheckError;
 pub use limits::{
     Budget, CancelToken, CheckRun, ExhaustionReason, LintSummary, ResourceReport, StructureSummary,
     Verdict, Witness,
-};
-pub use pipeline::{
-    Pipeline, PipelineError, PipelineOutcome, PipelineReport, PipelineRun, Resolution,
-    ResolveHookOutcome, SignalEquation, StageReport,
 };
 pub use report::AnalysisReport;
 pub use symbolic::BddStats;

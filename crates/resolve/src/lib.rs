@@ -25,9 +25,10 @@
 //!    cancellation token abort the search mid-candidate.
 //!
 //! The [`synthesize`] entry point runs the crate's full pipeline —
-//! lint → check → resolve → re-check → equations — by plugging this
-//! resolver and the `synth` crate's equation deriver into
-//! [`csc_core::Pipeline`].
+//! lint → check → resolve → re-check → equations — as straight-line
+//! code that calls this resolver and the `synth` crate's equation
+//! deriver directly ([`derive_equations`]). It is the only synthesis
+//! orchestrator in the workspace.
 //!
 //! # Examples
 //!
@@ -57,8 +58,11 @@ mod pipeline;
 mod resolver;
 
 pub use insert::{insert_state_signal, insert_state_signal_multi};
-pub use pipeline::{derive_equations, synthesize, SynthesisOptions, SynthesisRun};
+pub use pipeline::{
+    derive_equations, synthesize, PipelineError, PipelineOutcome, PipelineReport, PipelineRun,
+    SignalEquation, StageReport, SynthesisOptions, SynthesisRun,
+};
 pub use resolver::{
     resolve_csc, resolve_csc_with_report, ResolveError, ResolveOutcome, ResolveReport, ResolveRun,
-    ResolverOptions, RoundReport, Scoring,
+    ResolverOptions, RoundReport,
 };

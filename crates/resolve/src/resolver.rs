@@ -27,64 +27,29 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csc_core::{
-    Artifacts, Budget, CheckError, CheckRequest, Checker, CheckerOptions, Engine, ExhaustionReason,
-    Property, Verdict,
+    Artifacts, Budget, CheckError, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
 use petri::{ExploreLimits, PlaceId, StopGuard};
 use stg::{Signal, Stg};
-use unfolding::UnfoldError;
 
 use crate::insert::insert_state_signal_multi;
-
-/// How candidate insertions are scored (remaining CSC conflict
-/// pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scoring {
-    /// Count conflict pairs on the explicit state graph — fastest on
-    /// small nets, and the default.
-    #[default]
-    Explicit,
-    /// Count conflicts with the unfolding + integer-programming
-    /// checker — slower per candidate on small models, but
-    /// independent of the state-space size, and it leaves the
-    /// winning candidate's *prefix* in its artifact set, so the
-    /// final verification and the pipeline re-check are warm.
-    Unfolding,
-}
 
 /// Options of [`resolve_csc`].
 #[derive(Debug, Clone)]
 pub struct ResolverOptions {
     /// Maximum number of state signals to insert.
     pub max_signals: usize,
-    /// Exploration limits for explicit candidate scoring.
-    pub limits: ExploreLimits,
-    /// Scoring engine for candidates.
-    pub scoring: Scoring,
     /// Resource budget for the whole resolution (deadline and
     /// cancellation are honoured between candidates and inside every
-    /// build; `max_events` / `max_states` cap individual scores).
+    /// build; `max_states` caps each candidate's state graph).
     pub budget: Budget,
-    /// Consult the lint layer's LP-relaxation proofs before exploring
-    /// a candidate: a candidate whose USC the relaxation proves
-    /// scores 0 with no state-space exploration at all.
-    pub lint_fast_path: bool,
-    /// Try the CEGAR state-equation engine before counting: when it
-    /// proves CSC for a candidate, the count (0) is known without
-    /// building a prefix or state graph. Conflicted candidates still
-    /// fall through to the scoring engine for a ranking count.
-    pub cegar_fast_path: bool,
 }
 
 impl Default for ResolverOptions {
     fn default() -> Self {
         ResolverOptions {
             max_signals: 3,
-            limits: ExploreLimits::default(),
-            scoring: Scoring::Explicit,
             budget: Budget::unlimited(),
-            lint_fast_path: false,
-            cegar_fast_path: false,
         }
     }
 }
@@ -94,7 +59,7 @@ impl Default for ResolverOptions {
 pub enum ResolveOutcome {
     /// The input already satisfies CSC.
     AlreadySatisfied,
-    /// Resolution succeeded; `inserted` names the new signals.
+    /// The resolver succeeded; `inserted` names the new signals.
     Resolved {
         /// The conflict-free STG.
         stg: Stg,
@@ -176,12 +141,6 @@ pub struct ResolveReport {
     /// candidate is near-certainly inconsistent. The exhaustive sweep
     /// still covers them, so pruning never loses a resolution.
     pub candidates_pruned: usize,
-    /// Candidates whose score the lint LP proofs decided without any
-    /// exploration.
-    pub lint_shortcuts: usize,
-    /// Candidates whose score the CEGAR engine decided without
-    /// building a prefix or state graph.
-    pub cegar_shortcuts: usize,
     /// Checks that reused an already-built artifact stage instead of
     /// rebuilding it (seeded initial score, warm final verification).
     pub warm_reuses: usize,
@@ -191,8 +150,9 @@ pub struct ResolveReport {
     pub score_elapsed: Duration,
     /// Time spent in the final unfolding verification.
     pub verify_elapsed: Duration,
-    /// Prefix events the final verification built — 0 when unfolding
-    /// scoring already left the winner's prefix in its artifact set.
+    /// Prefix events the final verification built. Candidates are
+    /// scored on the state graph, so this is the winner's prefix, built
+    /// once here and reused by any later check on the returned set.
     pub verify_prefix_events_built: Option<usize>,
     /// Total wall-clock time of the resolution.
     pub elapsed: Duration,
@@ -306,27 +266,20 @@ fn hosts_locked(stg: &Stg, structure: &lint::StructureReport, p: PlaceId, q: Pla
 /// top-covering places, prune structurally concurrent hosts (the
 /// inserted signal's edges would race — counted in
 /// [`ResolveReport::candidates_pruned`]), and rank by total cover
-/// with a lock-relation tiebreak. Requires the current net's state
-/// graph (present under [`Scoring::Explicit`], which just counted
-/// conflicts on it); returns no candidates otherwise, falling back
-/// to the exhaustive sweep alone.
+/// with a lock-relation tiebreak. Reads the current net's state
+/// graph, which [`score`] just built to count its conflicts; returns
+/// no candidates when that graph is unavailable, falling back to the
+/// exhaustive sweep alone.
 fn guided_singles(
     current: &Scored,
     options: &ResolverOptions,
     guard: &StopGuard,
     report: &mut ResolveReport,
 ) -> Vec<(PlaceId, PlaceId)> {
-    if !current.artifacts.has_state_graph() {
-        return Vec::new();
-    }
-    let limits = ExploreLimits {
-        max_states: options
-            .budget
-            .max_states
-            .unwrap_or(options.limits.max_states),
-        token_bound: options.limits.token_bound,
-    };
-    let Ok(sg) = current.artifacts.state_graph(limits, guard) else {
+    let Ok(sg) = current
+        .artifacts
+        .state_graph(explore_limits(&options.budget), guard)
+    else {
         return Vec::new();
     };
     let stg = current.stg.as_ref();
@@ -413,32 +366,15 @@ fn try_candidate(
     report: &mut ResolveReport,
     best: &mut Option<Scored>,
 ) -> Result<Option<usize>, ResolveError> {
-    let Ok(candidate) = insert_state_signal_multi(current_stg, name, hosts) else {
+    let Some(candidate) = score_hosts(current_stg, name, hosts, options, guard, report)? else {
         return Ok(None);
     };
-    let candidate = Arc::new(candidate);
-    let artifacts = Arc::new(Artifacts::new(Arc::clone(&candidate)));
-    let score_start = Instant::now();
-    let scored = score(&artifacts, options, guard, report);
-    report.score_elapsed += score_start.elapsed();
-    let s = match scored? {
-        Score::Conflicts(s) => s,
-        Score::Broken => {
-            report.candidates_broken += 1;
-            return Ok(None);
-        }
-    };
-    let better = match best.as_ref() {
-        None => true,
-        Some(b) => s < b.conflicts || (s == b.conflicts && hosts.len() > b.toggles),
-    };
-    if better {
-        *best = Some(Scored {
-            conflicts: s,
-            toggles: hosts.len(),
-            stg: candidate,
-            artifacts,
-        });
+    let s = candidate.conflicts;
+    if best
+        .as_ref()
+        .is_none_or(|b| s < b.conflicts || (s == b.conflicts && candidate.toggles > b.toggles))
+    {
+        *best = Some(candidate);
     }
     Ok(Some(s))
 }
@@ -574,7 +510,18 @@ fn endgame(
     Ok(None)
 }
 
-/// Scores `artifacts.stg()` by remaining CSC conflict pairs.
+/// The state-graph limits of one score: the budget's `max_states`
+/// when set, the exploration defaults otherwise.
+fn explore_limits(budget: &Budget) -> ExploreLimits {
+    let defaults = ExploreLimits::default();
+    ExploreLimits {
+        max_states: budget.max_states.unwrap_or(defaults.max_states),
+        ..defaults
+    }
+}
+
+/// Scores `artifacts.stg()` by remaining CSC conflict pairs, counted
+/// on its explicit state graph.
 fn score(
     artifacts: &Artifacts,
     options: &ResolverOptions,
@@ -582,98 +529,18 @@ fn score(
     report: &mut ResolveReport,
 ) -> Result<Score, ResolveError> {
     report.candidates_tried += 1;
-    if options.lint_fast_path {
-        let lint = artifacts.lint();
-        if lint.has_errors() {
-            return Ok(Score::Broken);
+    match artifacts.state_graph(explore_limits(&options.budget), guard) {
+        Ok(sg) => Ok(Score::Conflicts(
+            sg.csc_conflict_pairs(artifacts.stg()).len(),
+        )),
+        // The caller's deadline/cancellation fired mid-build: abort
+        // the resolution, do not mis-score.
+        Err(stg::SgError::Reach(petri::ReachError::Stopped { reason, .. })) => {
+            Err(ResolveError::Exhausted(reason.into()))
         }
-        if lint.proofs.usc_proved {
-            // USC ⊇ CSC conflicts: the LP relaxation proved USC, so
-            // no CSC conflict exists — score 0 without exploration.
-            report.lint_shortcuts += 1;
-            return Ok(Score::Conflicts(0));
-        }
-    }
-    if options.cegar_fast_path {
-        let run = CheckRequest::new(artifacts.stg(), Property::Csc)
-            .engine(Engine::Cegar)
-            .budget(options.budget.clone())
-            .artifacts(artifacts)
-            .run()
-            .map_err(|e| match e {
-                CheckError::Exhausted(r) => ResolveError::Exhausted(r),
-                other => ResolveError::Verification(other),
-            })?;
-        match run.verdict {
-            Verdict::Holds => {
-                report.cegar_shortcuts += 1;
-                return Ok(Score::Conflicts(0));
-            }
-            Verdict::Unknown(ExhaustionReason::Cancelled) => {
-                return Err(ResolveError::Exhausted(ExhaustionReason::Cancelled));
-            }
-            Verdict::Unknown(ExhaustionReason::DeadlineExpired) => {
-                return Err(ResolveError::Exhausted(ExhaustionReason::DeadlineExpired));
-            }
-            // Violated or otherwise inconclusive: fall through to the
-            // scoring engine for a ranking count.
-            Verdict::Violated(_) | Verdict::Unknown(_) => {}
-        }
-    }
-    match options.scoring {
-        Scoring::Explicit => {
-            let limits = ExploreLimits {
-                max_states: options
-                    .budget
-                    .max_states
-                    .unwrap_or(options.limits.max_states),
-                token_bound: options.limits.token_bound,
-            };
-            match artifacts.state_graph(limits, guard) {
-                Ok(sg) => Ok(Score::Conflicts(
-                    sg.csc_conflict_pairs(artifacts.stg()).len(),
-                )),
-                // The caller's deadline/cancellation fired mid-build:
-                // abort the resolution, do not mis-score.
-                Err(stg::SgError::Reach(petri::ReachError::Stopped { reason, .. })) => {
-                    Err(ResolveError::Exhausted(reason.into()))
-                }
-                // Inconsistent, unbounded, or over the per-candidate
-                // caps: the candidate is broken, skip it.
-                Err(_) => Ok(Score::Broken),
-            }
-        }
-        Scoring::Unfolding => {
-            let mut checker_options = CheckerOptions::default();
-            if let Some(n) = options.budget.max_events {
-                checker_options.unfold.max_events = n;
-            }
-            let (artifact, _built) = match artifacts.prefix(checker_options.unfold, guard) {
-                Ok(pair) => pair,
-                Err(UnfoldError::Interrupted { reason, .. }) => {
-                    return Err(ResolveError::Exhausted(reason.into()));
-                }
-                Err(_) => return Ok(Score::Broken),
-            };
-            let checker = Checker::from_artifact(
-                artifacts.stg(),
-                Arc::clone(&artifact.prefix),
-                Arc::clone(&artifact.relations),
-                checker_options,
-                guard.clone(),
-            );
-            match checker.check_consistency() {
-                Ok(outcome) if outcome.is_consistent() => {}
-                Ok(_) => return Ok(Score::Broken),
-                Err(CheckError::Exhausted(r)) => return Err(ResolveError::Exhausted(r)),
-                Err(_) => return Ok(Score::Broken),
-            }
-            match checker.enumerate_conflicts(csc_core::ConflictKind::Csc, 10_000) {
-                Ok(witnesses) => Ok(Score::Conflicts(witnesses.len())),
-                Err(CheckError::Exhausted(r)) => Err(ResolveError::Exhausted(r)),
-                Err(_) => Ok(Score::Broken),
-            }
-        }
+        // Inconsistent, unbounded, or over the per-candidate caps: the
+        // candidate is broken, skip it.
+        Err(_) => Ok(Score::Broken),
     }
 }
 
@@ -919,10 +786,8 @@ pub fn resolve_csc_with_report(
     if current.conflicts == 0 {
         // Final verification with the paper's checker — the resolver
         // only ever *claims* success the unfolding engine confirms.
-        // The check runs on the winner's own artifact set: with
-        // unfolding scoring the prefix is already there and this is
-        // warm (0 events built); the set is returned either way so
-        // the pipeline's re-check is warm next.
+        // The check runs on the winner's own artifact set, which is
+        // returned so the pipeline's re-check is warm next.
         let verify_start = Instant::now();
         let run = CheckRequest::new(&current.stg, Property::Csc)
             .engine(Engine::UnfoldingIlp)
@@ -1040,22 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn unfolding_scoring_agrees_with_explicit() {
-        let stg = vme_read();
-        let options = ResolverOptions {
-            scoring: Scoring::Unfolding,
-            ..Default::default()
-        };
-        match resolve_csc(&stg, options).unwrap() {
-            ResolveOutcome::Resolved { stg: fixed, .. } => {
-                let sg = StateGraph::build(&fixed, Default::default()).unwrap();
-                assert!(sg.satisfies_csc(&fixed));
-            }
-            other => panic!("expected Resolved, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn zero_budget_reports_failure() {
         let stg = vme_read();
         let options = ResolverOptions {
@@ -1137,24 +986,9 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Incremental re-verification: the winner's artifact set makes the
-    // final verification and any downstream re-check warm.
+    // Incremental re-verification: the winner's artifact set makes any
+    // downstream re-check warm.
     // ------------------------------------------------------------------
-
-    #[test]
-    fn unfolding_scoring_makes_final_verification_warm() {
-        let stg = vme_read();
-        let options = ResolverOptions {
-            scoring: Scoring::Unfolding,
-            ..Default::default()
-        };
-        let run = resolve_csc_with_report(&stg, &options, None).unwrap();
-        assert!(matches!(run.outcome, ResolveOutcome::Resolved { .. }));
-        // Scoring already built the winner's prefix; verification
-        // reused it verbatim.
-        assert_eq!(run.report.verify_prefix_events_built, Some(0));
-        assert!(run.report.warm_reuses >= 1);
-    }
 
     #[test]
     fn returned_artifacts_make_recheck_warm() {
@@ -1201,36 +1035,5 @@ mod tests {
         let other = Arc::new(Artifacts::of(&vme_read()));
         let run = resolve_csc_with_report(&stg, &ResolverOptions::default(), Some(other)).unwrap();
         assert!(matches!(run.outcome, ResolveOutcome::AlreadySatisfied));
-    }
-
-    #[test]
-    fn lint_fast_path_scores_without_exploration() {
-        // counterflow_sym(2,2) is conflict-free and its USC is
-        // provable by the LP relaxation, so the lint fast path must
-        // decide the initial score with zero exploration.
-        let stg = counterflow_sym(2, 2);
-        let options = ResolverOptions {
-            lint_fast_path: true,
-            ..Default::default()
-        };
-        let run = resolve_csc_with_report(&stg, &options, None).unwrap();
-        assert!(matches!(run.outcome, ResolveOutcome::AlreadySatisfied));
-        assert_eq!(run.report.lint_shortcuts, 1);
-        let arts = run.artifacts.unwrap();
-        assert!(!arts.has_state_graph() && !arts.has_prefix());
-    }
-
-    #[test]
-    fn cegar_fast_path_agrees() {
-        let stg = vme_read();
-        let options = ResolverOptions {
-            cegar_fast_path: true,
-            ..Default::default()
-        };
-        let run = resolve_csc_with_report(&stg, &options, None).unwrap();
-        assert!(matches!(run.outcome, ResolveOutcome::Resolved { .. }));
-        // The winning (conflict-free) candidate is decidable by CEGAR
-        // without exploration.
-        assert!(run.report.cegar_shortcuts >= 1);
     }
 }

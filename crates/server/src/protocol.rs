@@ -408,7 +408,7 @@ pub fn encode_check_response(id: &str, stg: &Stg, run: &CheckRun) -> String {
 /// a *permanent* failure (resubmitting the same net resolves the same
 /// way), so clients must not retry it.
 pub fn encode_synthesize_response(id: &str, run: &resolve::SynthesisRun) -> String {
-    use csc_core::PipelineOutcome;
+    use resolve::PipelineOutcome;
     let stages = Value::Arr(
         run.pipeline
             .report
@@ -461,7 +461,7 @@ pub fn encode_synthesize_response(id: &str, run: &resolve::SynthesisRun) -> Stri
             ),
         ]),
     };
-    let equations_value = |equations: &[csc_core::SignalEquation]| {
+    let equations_value = |equations: &[resolve::SignalEquation]| {
         Value::Arr(
             equations
                 .iter()

@@ -222,21 +222,21 @@ impl<'a> NextStateFunctions<'a> {
         let m = &mut self.manager;
         let not_on = m.not(&on);
         let off = m.and(&care, &not_on);
-        // Second code block on variables n..2n.
-        let off_shifted = m.rename_monotone(&off, &|v| v + n);
-        // x ≤ y componentwise (x = block 0, y = block 1).
-        let mut leq = m.constant(true);
+        // Close the on-set upward (increasing case) or downward, one
+        // code bit at a time: a code joins when lowering (raising) its
+        // bit `v` lands in the set. After all `n` bits the closure
+        // holds every code that dominates (is dominated by) an
+        // on-code, without a second block of variables — a relation
+        // `x ≤ y` over two separate blocks is exponential in `n`.
+        let mut closure = on;
         for v in 0..n {
-            let (a, b) = if increasing { (v, v + n) } else { (v + n, v) };
-            let na = m.nvar(a);
-            let vb = m.var(b);
-            let clause = m.or(&na, &vb);
-            leq = m.and(&leq, &clause);
+            let neighbour = m.restrict(&closure, v, !increasing);
+            let literal = if increasing { m.var(v) } else { m.nvar(v) };
+            let moved = m.and(&literal, &neighbour);
+            closure = m.or(&closure, &moved);
         }
-        // A violating pair: on(x) ∧ off(y) ∧ x ≤ y (increasing case).
-        let pair = m.and(&on, &off_shifted);
-        let violation = m.and(&pair, &leq);
-        violation.is_false()
+        // A violating pair: an off-code inside the closure.
+        m.and(&closure, &off).is_false()
     }
 
     /// Whether `Nxt_z` is implementable with monotonic gates in the

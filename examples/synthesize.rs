@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo run --example synthesize`
 
-use stg_coding_conflicts::csc_core::PipelineOutcome;
-use stg_coding_conflicts::resolve::{synthesize, SynthesisOptions};
+use stg_coding_conflicts::resolve::{synthesize, PipelineOutcome, SynthesisOptions};
 use stg_coding_conflicts::stg::gen::vme::vme_read;
 use stg_coding_conflicts::synth::{NextStateFunctions, SynthError};
 

@@ -379,9 +379,7 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
             }
         }
     } else {
-        let run = CheckRequest::new(model, property)
-            .engine(engine)
-            .budget(budget)
+        let run = request(model, property, engine, budget)
             .run()
             .map_err(|e| e.to_string())?;
         let code = match run.verdict {
@@ -406,10 +404,25 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
     }
 }
 
-/// Prints the engine counters a run recorded: the BDD manager's when
-/// it touched the symbolic stage (peak/live nodes, collections,
-/// sifting passes) and CEGAR's when the state-equation engine ran.
+/// An in-process check request. Under `race` it runs the schedule
+/// `stgd` serves: the structure pass and the prelint LP are on.
+fn request(model: &Stg, property: Property, engine: Engine, budget: Budget) -> CheckRequest<'_> {
+    let served = engine == Engine::Race;
+    CheckRequest::new(model, property)
+        .engine(engine)
+        .budget(budget)
+        .structure(served)
+        .prelint(served)
+}
+
+/// Prints what a run recorded: the stage that answered, when the
+/// report names one; the BDD manager's counters when it touched the
+/// symbolic stage (peak/live nodes, collections, sifting passes); and
+/// CEGAR's when the state-equation engine ran.
 fn print_engine_stats(report: &ResourceReport) {
+    if let Some(winner) = report.winner {
+        println!("  winner: {winner}");
+    }
     if let Some(stats) = &report.bdd {
         println!(
             "  bdd: {} peak live nodes ({} live at end), {} gc run(s), {} reorder pass(es)",
@@ -440,9 +453,7 @@ fn check_all(model: &Stg, flags: &[String]) -> Result<u8, String> {
     let artifacts = Artifacts::of(model);
     let mut worst = 0u8;
     for property in [Property::Usc, Property::Csc, Property::Normalcy] {
-        let run = CheckRequest::new(model, property)
-            .engine(engine)
-            .budget(budget.clone())
+        let run = request(model, property, engine, budget.clone())
             .artifacts(&artifacts)
             .run()
             .map_err(|e| e.to_string())?;
@@ -645,7 +656,7 @@ fn synthesize_cmd(model: &Stg, flags: &[String]) -> Result<u8, String> {
     if let Some(addr) = server_flag(flags)? {
         return remote_synthesize(&addr, model, flags);
     }
-    use stg_coding_conflicts::csc_core::PipelineOutcome;
+    use stg_coding_conflicts::resolve::PipelineOutcome;
     use stg_coding_conflicts::resolve::{synthesize, SynthesisOptions};
     let mut options = SynthesisOptions::default();
     if let Some(engine) = engine_flag(flags)? {
@@ -678,7 +689,7 @@ fn synthesize_cmd(model: &Stg, flags: &[String]) -> Result<u8, String> {
             println!("recheck prefix events built: {built} (warm when 0)");
         }
     }
-    let equations = |eqs: &[stg_coding_conflicts::csc_core::SignalEquation]| {
+    let equations = |eqs: &[stg_coding_conflicts::resolve::SignalEquation]| {
         for eq in eqs {
             println!(
                 "{}{}",

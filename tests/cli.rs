@@ -115,3 +115,20 @@ fn mcmillan_prefix_not_smaller() {
     };
     assert!(events(&mcm) >= events(&erv));
 }
+
+#[test]
+fn race_runs_the_served_schedule_in_process() {
+    // `--engine race` runs the schedule `stgd` serves, structure pass
+    // first: on a single-token state machine that pass answers before
+    // the small-state probe could.
+    let out = stgcheck(&[
+        "csc",
+        "tests/fixtures/handshake_state_machine.g",
+        "--engine",
+        "race",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = stdout(&out);
+    assert!(text.contains("Csc: satisfied"), "{text}");
+    assert!(text.contains("winner: structure"), "{text}");
+}

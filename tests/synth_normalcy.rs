@@ -5,10 +5,8 @@
 //! the same §6 condition through completely different machinery
 //! (BDDs over codes vs. integer programs over the unfolding).
 
-use stg_coding_conflicts::csc_core::{
-    Artifacts, CheckRequest, Checker, Engine, PipelineOutcome, Property, Verdict,
-};
-use stg_coding_conflicts::resolve::{synthesize, SynthesisOptions};
+use stg_coding_conflicts::csc_core::{Artifacts, CheckRequest, Checker, Engine, Property, Verdict};
+use stg_coding_conflicts::resolve::{synthesize, PipelineOutcome, SynthesisOptions};
 use stg_coding_conflicts::stg::gen::counterflow::counterflow_sym;
 use stg_coding_conflicts::stg::gen::duplex::{dup_4ph, dup_mod};
 use stg_coding_conflicts::stg::gen::ring::lazy_ring;
