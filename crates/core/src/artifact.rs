@@ -26,7 +26,7 @@
 //! Each stage sits behind its own lock, held for the whole build
 //! (single-flight): when two racers demand the same stage, one builds
 //! and the other blocks briefly, then shares the result. The three
-//! stages use *separate* locks, so [`crate::Engine::Race`]'s three
+//! engine stages use *separate* locks, so [`crate::Engine::Race`]'s
 //! racers never contend with each other.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -86,7 +86,6 @@ pub struct Artifacts {
     prefix: Mutex<Option<PrefixArtifact>>,
     state_graph: Mutex<Option<Arc<StateGraph>>>,
     symbolic: Mutex<Option<SymbolicChecker>>,
-    lint: Mutex<Option<Arc<lint::LintReport>>>,
     structure: Mutex<Option<Arc<lint::StructureReport>>>,
 }
 
@@ -116,7 +115,6 @@ impl Artifacts {
             prefix: Mutex::new(None),
             state_graph: Mutex::new(None),
             symbolic: Mutex::new(None),
-            lint: Mutex::new(None),
             structure: Mutex::new(None),
         }
     }
@@ -233,46 +231,6 @@ impl Artifacts {
         result
     }
 
-    /// The lint stage, running it if absent: the full static
-    /// analysis of [`lint::lint_stg`] with default options (structural
-    /// checks, semiflow proofs, LP-relaxation proofs). Like every
-    /// other stage it is computed once per artifact set — and the set
-    /// is keyed by [`Artifacts::hash`] in the server's cache, so a
-    /// cache hit reuses the lint verdicts along with the prefix.
-    ///
-    /// Lint never enumerates states; the LP solver bounds itself by
-    /// pivots and abstains rather than overrunning.
-    pub fn lint(&self) -> Arc<lint::LintReport> {
-        self.lint_with(&lint::LintOptions::default())
-    }
-
-    /// The lint stage under explicit options (deadline-bounded LP,
-    /// LP disabled, …). A cached report is returned whatever the
-    /// options: it is always a complete one. A freshly computed
-    /// report is cached **only when complete**: its LP ran and did
-    /// not abstain. So neither a tightly-budgeted job nor an LP-free
-    /// pass can poison the shared slot with a partial proof set that
-    /// later jobs asking for the LP would reuse.
-    pub fn lint_with(&self, options: &lint::LintOptions) -> Arc<lint::LintReport> {
-        {
-            let slot = relock(&self.lint);
-            if let Some(report) = slot.as_ref() {
-                return Arc::clone(report);
-            }
-        }
-        // Computed outside the lock: a deadline-bounded pass may take
-        // a while, and a concurrent full pass must not queue behind it.
-        let report = Arc::new(lint::lint_stg(&self.stg, options));
-        let mut slot = relock(&self.lint);
-        if let Some(cached) = slot.as_ref() {
-            return Arc::clone(cached);
-        }
-        if options.lp && !report.proofs.lp_abstained {
-            *slot = Some(Arc::clone(&report));
-        }
-        report
-    }
-
     /// The structure stage, running it if absent: the static
     /// net-class, concurrency and lock-relation analysis of
     /// [`lint::structure::analyse`]. The pass is total (it never
@@ -285,8 +243,8 @@ impl Artifacts {
                 return Arc::clone(report);
             }
         }
-        // Computed outside the lock, mirroring the lint stage: the
-        // pass is cheap, but there is no reason to serialise callers.
+        // Computed outside the lock: the pass is cheap, but there is
+        // no reason to serialise callers.
         let report = Arc::new(lint::structure::analyse(&self.stg));
         let mut slot = relock(&self.structure);
         if let Some(cached) = slot.as_ref() {
@@ -299,11 +257,6 @@ impl Artifacts {
     /// Whether the structure stage has run (and is cached).
     pub fn has_structure(&self) -> bool {
         relock(&self.structure).is_some()
-    }
-
-    /// Whether the lint stage has run (and is cached).
-    pub fn has_lint(&self) -> bool {
-        relock(&self.lint).is_some()
     }
 
     /// Whether the unfolding stage has been built (and cached).
@@ -458,36 +411,6 @@ mod tests {
         });
         assert!(truncated);
         assert!(artifacts.has_symbolic(), "order unchanged: keep the cache");
-    }
-
-    #[test]
-    fn lint_stage_is_computed_once_and_shared() {
-        let artifacts = Artifacts::of(&vme_read());
-        assert!(!artifacts.has_lint());
-        let first = artifacts.lint();
-        assert!(artifacts.has_lint());
-        let second = artifacts.lint();
-        assert!(Arc::ptr_eq(&first, &second), "lint runs once per set");
-        assert!(!first.has_errors());
-        // vme_read has a real USC/CSC conflict: the LP relaxation must
-        // not prove it away.
-        assert!(!first.proofs.usc_proved);
-    }
-
-    #[test]
-    fn lp_free_lint_does_not_shadow_a_later_lp_pass() {
-        let artifacts = Artifacts::of(&counterflow_sym(2, 2));
-        let lp_free = lint::LintOptions {
-            lp: false,
-            ..lint::LintOptions::default()
-        };
-        assert!(!artifacts.lint_with(&lp_free).proofs.usc_proved);
-        assert!(!artifacts.has_lint(), "an LP-free report is not cached");
-        let full = artifacts.lint_with(&lint::LintOptions::default());
-        assert!(full.proofs.usc_proved, "the LP proves USC of this net");
-        assert!(artifacts.has_lint());
-        // The complete report now answers LP-free requests too.
-        assert!(Arc::ptr_eq(&artifacts.lint_with(&lp_free), &full));
     }
 
     #[test]

@@ -8,19 +8,18 @@
 //! equation, or by [`Engine::Race`], an ordered schedule that ends in a
 //! concurrent race.
 //!
-//! # The `Race` schedule
+//! # The check's stages
 //!
 //! `Race` is the service's default, so its order decides what a user
-//! waits for. It runs, under one guard anchored once per check:
+//! waits for. A check runs, under one guard anchored once per check:
 //!
 //! 1. the structure fast path (when [`CheckRequest::structure`] is on);
-//! 2. the paper's engine, unfolding + 0-1 IP, under constant caps
-//!    (4096 prefix events, 10⁶ solver steps, each lowered to the
-//!    request's own budget when that is tighter), opened by an
+//! 2. for `Race` only, the paper's engine, unfolding + 0-1 IP, under
+//!    constant caps (4096 prefix events, 10⁶ solver steps, each lowered
+//!    to the request's own budget when that is tighter), opened by an
 //!    explicit probe capped at 16 markings;
-//! 3. the prelint LP (when [`CheckRequest::prelint`] is on), only when
-//!    stage 2 abstained;
-//! 4. the four-way race, only when the LP did not prove the property.
+//! 3. the engine; for `Race`, the four-way race, only when stage 2
+//!    abstained.
 //!
 //! The probe exists because a prefix and an integer program have a
 //! set-up cost of their own: on a net with a dozen markings,
@@ -28,17 +27,19 @@
 //! It gives up at the cap, after about 20 µs, so every larger net is
 //! still answered by the paper's engine.
 //!
-//! The LP runs third because it is the slowest layer that can answer.
-//! Its exact-rational simplex costs milliseconds to seconds on the
-//! Table 1 rows, where the capped unfolding stage answers every row in
-//! about a millisecond; the LP earns its place only on nets whose
-//! prefix or integer program outgrows the caps. A truncated stage-2
-//! prefix is never cached, so the race's unfolding racer still runs
-//! uncapped.
+//! The marking-equation LP relaxation runs in a check only as the first
+//! step of the CEGAR engine (`cegar::check`): once, alongside the other
+//! racers under `Race`, or alone when [`Engine::Cegar`] is named. Its
+//! exact-rational simplex costs milliseconds to seconds on the Table 1
+//! rows, where stage 2 answers every row in about a millisecond, so on
+//! a net past stage 2's caps it races the uncapped engines instead of
+//! holding them up. A truncated stage-2 prefix is never cached, so the
+//! race's unfolding racer still runs uncapped.
 //!
 //! Every stage that runs and abstains folds its counters into the one
 //! [`ResourceReport`] the check returns; the first stage that answers
-//! names itself in [`ResourceReport::winner`].
+//! names itself in [`ResourceReport::winner`]. The report's `elapsed`
+//! covers the whole check, every stage included.
 //!
 //! Every call runs under a [`Budget`] and returns a three-valued
 //! [`Verdict`] plus a [`ResourceReport`]: an exhausted engine answers
@@ -62,8 +63,7 @@ use crate::artifact::Artifacts;
 use crate::checker::{CheckOutcome, Checker, CheckerOptions};
 use crate::error::CheckError;
 use crate::limits::{
-    Budget, CheckRun, ExhaustionReason, LintSummary, ResourceReport, StructureSummary, Verdict,
-    Witness,
+    Budget, CheckRun, ExhaustionReason, ResourceReport, StructureSummary, Verdict, Witness,
 };
 
 /// Which engine decides the property.
@@ -79,9 +79,9 @@ pub enum Engine {
     /// Ordered schedule ending in a race of the base engines (see
     /// the module docs): the structure fast path, then unfolding + ILP
     /// under small constant caps (after an explicit probe that answers
-    /// nets of at most 16 markings), then the prelint LP, and only then
-    /// the four base engines on separate threads; the first conclusive
-    /// racer wins and the losers are cancelled. Every stage shares one
+    /// nets of at most 16 markings), and only then the four base
+    /// engines on separate threads; the first conclusive racer wins
+    /// and the losers are cancelled. Every stage shares one
     /// absolute deadline, and [`ResourceReport::winner`] names the
     /// stage or racer that answered.
     Race,
@@ -131,7 +131,7 @@ const SCHEDULE_EVENTS: usize = 4096;
 
 /// Solver-step cap of the capped unfolding stage of [`Engine::Race`].
 /// The Table 1 rows need at most a few thousand steps; a net that
-/// exhausts this cap falls through to the LP and the race.
+/// exhausts this cap falls through to the race.
 const SCHEDULE_SOLVER_STEPS: u64 = 1_000_000;
 
 /// State cap of the explicit probe that opens stage 2 of
@@ -158,8 +158,8 @@ const RACE_EXPLICIT_STATES: usize = 1 << 18;
 /// encoding) are then built once and reused.
 ///
 /// The budget's deadline is anchored once, inside [`CheckRequest::run`],
-/// so every stage of a check (structure, prelint LP, the race
-/// schedule) shares a single wall clock.
+/// so every stage of a check (structure, the capped stage 2, the
+/// engine or race) shares a single wall clock.
 ///
 /// # Examples
 ///
@@ -212,7 +212,6 @@ pub struct CheckRequest<'a> {
     property: Property,
     engine: Engine,
     budget: Budget,
-    prelint: bool,
     structure: bool,
 }
 
@@ -227,7 +226,6 @@ impl<'a> CheckRequest<'a> {
             property,
             engine: Engine::UnfoldingIlp,
             budget: Budget::unlimited(),
-            prelint: false,
             structure: false,
         }
     }
@@ -244,18 +242,12 @@ impl<'a> CheckRequest<'a> {
         self
     }
 
-    /// Enables the static prelint stage (off by default). Before any
-    /// engine runs — for [`Engine::Race`], only after its capped
-    /// unfolding stage abstained — the lint layer's LP-relaxation proofs
-    /// ([`lint::lint_stg`], cached in the [`Artifacts`] set) are
-    /// consulted: when they prove the property outright the engines
-    /// are short-circuited and the run returns [`Verdict::Holds`]
-    /// with [`ResourceReport::lint`] marked `proved` and
-    /// `prefix_events_built` = 0 — a verdict with no state-space
-    /// exploration at all. Otherwise the requested engine runs
-    /// normally and the report carries the (unproved) lint summary.
-    pub fn prelint(mut self, enabled: bool) -> Self {
-        self.prelint = enabled;
+    /// Does nothing. A check no longer runs the lint LP as a stage of
+    /// its own: the LP relaxation runs only as the first step of the
+    /// CEGAR engine, which `Race` starts as one of its racers. The
+    /// method stays for callers written against the old stage and will
+    /// be removed.
+    pub fn prelint(self, _enabled: bool) -> Self {
         self
     }
 
@@ -324,30 +316,29 @@ impl<'a> CheckRequest<'a> {
     }
 
     fn run_on(&self, artifacts: &Artifacts) -> Result<CheckRun, CheckError> {
+        let start = Instant::now();
         let mut report = ResourceReport::empty(self.engine.name());
         let verdict = self.run_stages(artifacts, &mut report)?;
+        report.elapsed = start.elapsed();
         Ok(CheckRun { verdict, report })
     }
 
     /// Runs the check's stages in order, each folding what it did into
     /// `report`, and returns the verdict of the first stage that
     /// answers (the engine stage answers last, possibly `Unknown`).
-    /// `report.elapsed` covers the engine stages only, unless the
-    /// structure pass or the LP answered: then it covers the whole
-    /// check.
+    /// [`CheckRequest::run_on`] times the whole call.
     fn run_stages(
         &self,
         artifacts: &Artifacts,
         report: &mut ResourceReport,
     ) -> Result<Verdict, CheckError> {
-        let start = Instant::now();
         // One guard per check: every stage below polls the same
         // absolute deadline, so a `deadline = D` check ends within D
         // however many stages it passes through.
         let guard = self.budget.guard();
-        // The structure stage first: it is cheaper than the lint LP
-        // and can decide USC/CSC outright on single-token state
-        // machines, with a concrete two-state witness on refutation.
+        // The structure stage first: it is the cheapest stage, and it
+        // can decide USC/CSC outright on single-token state machines,
+        // with a concrete two-state witness on refutation.
         if self.structure {
             let structure = artifacts.structure();
             let verdict = match self.property {
@@ -359,14 +350,13 @@ impl<'a> CheckRequest<'a> {
             report.structure = Some(summarize_structure(&structure, verdict.is_some()));
             if let Some(verdict) = verdict {
                 report.winner = Some("structure");
-                report.elapsed = start.elapsed();
                 report.prefix_events_built = Some(0);
                 return Ok(verdict);
             }
         }
         // Race stage 2: a small-state probe, then the paper's engine
-        // under constant caps, ahead of the LP (see the module docs for
-        // the order).
+        // under constant caps, ahead of the race (see the module docs
+        // for the order).
         if self.engine == Engine::Race {
             if let Some((verdict, stage, winner)) =
                 run_schedule_stage(artifacts, self.property, &self.budget, &guard)
@@ -376,34 +366,6 @@ impl<'a> CheckRequest<'a> {
                     report.winner = Some(winner);
                     return Ok(verdict);
                 }
-            }
-        }
-        if self.prelint {
-            // The lint stage polls the check's guard like the engines
-            // do: a tightly budgeted job gets an immediate LP
-            // abstention instead of a lint pass that outlives its
-            // deadline, and a cancellation (a hung-job watchdog, a
-            // shutdown sweep) interrupts a long exact-arithmetic solve
-            // mid-flight. Partial reports are never cached either way.
-            let lint = artifacts.lint_with(&lint_options(&guard));
-            // USC ⊇ CSC conflicts: a USC proof covers both properties.
-            // Normalcy has no LP relaxation yet.
-            let proved = match self.property {
-                Property::Usc | Property::Csc => lint.proofs.usc_proved,
-                Property::Normalcy => false,
-            };
-            report.lint = Some(LintSummary {
-                proved,
-                errors: lint.errors() as u64,
-                warnings: lint.warnings() as u64,
-                usc_proved: lint.proofs.usc_proved,
-                all_consistent: lint.proofs.all_consistent,
-            });
-            if proved {
-                report.winner = Some("lint");
-                report.elapsed = start.elapsed();
-                report.prefix_events_built.get_or_insert(0);
-                return Ok(Verdict::Holds);
             }
         }
         let run = dispatch(artifacts, self.property, self.engine, &self.budget, &guard)?;
@@ -426,14 +388,6 @@ impl<'a> CheckRequest<'a> {
             Verdict::Unknown(reason) => Err(CheckError::Exhausted(reason)),
         }
     }
-}
-
-/// Lint options whose LP polls `guard`: the check's deadline and every
-/// cancellation flag. Used by the prelint stage.
-fn lint_options(guard: &StopGuard) -> lint::LintOptions {
-    let mut options = lint::LintOptions::default();
-    options.lp_options.guard = guard.clone();
-    options
 }
 
 fn dispatch(
@@ -576,7 +530,6 @@ fn run_unfolding(
     budget: &Budget,
     guard: &StopGuard,
 ) -> EngineOutcome {
-    let start = Instant::now();
     let mut report = ResourceReport::empty("unfolding-ilp");
     let mut options = CheckerOptions::default();
     if let Some(n) = budget.max_events {
@@ -588,13 +541,11 @@ fn run_unfolding(
     let (artifact, built) = match artifacts.prefix(options.unfold, guard) {
         Ok(pair) => pair,
         Err(UnfoldError::TooManyEvents(n)) => {
-            report.elapsed = start.elapsed();
             report.prefix_events = Some(n);
             report.prefix_events_built = Some(n);
             return Ok((Verdict::Unknown(ExhaustionReason::EventLimit(n)), report));
         }
         Err(UnfoldError::Interrupted { reason, events }) => {
-            report.elapsed = start.elapsed();
             report.prefix_events = Some(events);
             report.prefix_events_built = Some(events);
             return Ok((Verdict::Unknown(reason.into()), report));
@@ -624,7 +575,6 @@ fn run_unfolding(
         }),
     };
     report.solver_steps = Some(checker.solver_steps());
-    report.elapsed = start.elapsed();
     match result {
         Ok(verdict) => Ok((verdict, report)),
         Err(CheckError::Solve(e)) => {
@@ -643,10 +593,10 @@ fn run_unfolding(
 /// [`SCHEDULE_SMALL_STATES`] markings answers tiny nets (it builds no
 /// prefix); otherwise [`run_unfolding`] runs with the event and
 /// solver-step caps lowered to the schedule's constants. Every cap is
-/// lowered further to the request's own, when tighter. `elapsed`
-/// covers both engines. `None` when the unfolding engine failed or
-/// either engine panicked: the stage then abstains without a report,
-/// and the race's racer meets — and reports — the same failure.
+/// lowered further to the request's own, when tighter. `None` when the
+/// unfolding engine failed or either engine panicked: the stage then
+/// abstains without a report, and the race's racer meets — and
+/// reports — the same failure.
 fn run_schedule_stage(
     artifacts: &Artifacts,
     property: Property,
@@ -656,7 +606,6 @@ fn run_schedule_stage(
     fn tighter<T: Ord + Copy>(request: Option<T>, cap: T) -> Option<T> {
         Some(request.map_or(cap, |n| n.min(cap)))
     }
-    let start = Instant::now();
     let probe = Budget {
         max_states: tighter(budget.max_states, SCHEDULE_SMALL_STATES),
         ..budget.clone()
@@ -666,7 +615,7 @@ fn run_schedule_stage(
         max_solver_steps: tighter(budget.max_solver_steps, SCHEDULE_SOLVER_STEPS),
         ..budget.clone()
     };
-    let (verdict, mut report, engine) = catch_unwind(AssertUnwindSafe(|| {
+    catch_unwind(AssertUnwindSafe(|| {
         match run_explicit(artifacts, property, &probe, guard) {
             Ok((verdict, mut report)) if !verdict.is_unknown() => {
                 report.prefix_events_built = Some(0);
@@ -677,9 +626,7 @@ fn run_schedule_stage(
         }
     }))
     .ok()?
-    .ok()?;
-    report.elapsed = start.elapsed();
-    Some((verdict, report, engine))
+    .ok()
 }
 
 fn outcome_to_verdict(outcome: CheckOutcome) -> Verdict {
@@ -695,7 +642,6 @@ fn run_explicit(
     budget: &Budget,
     guard: &StopGuard,
 ) -> EngineOutcome {
-    let start = Instant::now();
     let stg = artifacts.stg();
     let mut report = ResourceReport::empty("explicit");
     let mut limits = ExploreLimits::default();
@@ -705,12 +651,10 @@ fn run_explicit(
     let sg = match artifacts.state_graph(limits, guard) {
         Ok(sg) => sg,
         Err(SgError::Reach(ReachError::Stopped { reason, states })) => {
-            report.elapsed = start.elapsed();
             report.states = Some(states);
             return Ok((Verdict::Unknown(reason.into()), report));
         }
         Err(SgError::Reach(ReachError::StateLimitExceeded(n))) => {
-            report.elapsed = start.elapsed();
             report.states = Some(n);
             return Ok((Verdict::Unknown(ExhaustionReason::StateLimit(n)), report));
         }
@@ -745,7 +689,6 @@ fn run_explicit(
             }
         }
     };
-    report.elapsed = start.elapsed();
     Ok((verdict, report))
 }
 
@@ -755,7 +698,6 @@ fn run_symbolic(
     budget: &Budget,
     guard: &StopGuard,
 ) -> EngineOutcome {
-    let start = Instant::now();
     let mut report = ResourceReport::empty("symbolic");
     let sym_budget = SymbolicBudget {
         guard: guard.clone(),
@@ -796,7 +738,6 @@ fn run_symbolic(
     });
     report.bdd_nodes = Some(nodes);
     report.bdd = Some(stats);
-    report.elapsed = start.elapsed();
     Ok((verdict, report))
 }
 
@@ -829,7 +770,6 @@ fn run_cegar(
     budget: &Budget,
     guard: &StopGuard,
 ) -> EngineOutcome {
-    let start = Instant::now();
     let mut report = ResourceReport::empty("cegar");
     // The engine never touches the unfolding or BDD stages; report
     // that positively so callers can assert "no prefix was built".
@@ -839,7 +779,6 @@ fn run_cegar(
         Property::Csc => Some(cegar::CegarProperty::Csc),
         Property::Normalcy => None,
     }) else {
-        report.elapsed = start.elapsed();
         return Ok((
             Verdict::Unknown(ExhaustionReason::Unsupported(
                 "the CEGAR engine has no state-equation encoding of normalcy",
@@ -857,7 +796,6 @@ fn run_cegar(
     let (outcome, stats) = cegar::check(artifacts.stg(), prop, &options);
     report.solver_steps = Some(stats.lp_solves);
     report.cegar = Some(stats);
-    report.elapsed = start.elapsed();
     let verdict = match outcome {
         cegar::CegarOutcome::Proved => Verdict::Holds,
         cegar::CegarOutcome::Refuted(pair) => Verdict::Violated(Witness::States(pair)),
@@ -913,7 +851,6 @@ fn run_race(
 ) -> EngineOutcome {
     use std::sync::mpsc;
 
-    let start = Instant::now();
     let mut report = ResourceReport::empty("race");
     // An earlier stage may have used up the deadline: answer before
     // spawning racers whose set-up work precedes their first poll. No
@@ -1008,7 +945,6 @@ fn run_race(
             _ => {}
         }
     }
-    report.elapsed = start.elapsed();
     if let Some((verdict, name)) = winner {
         report.winner = Some(name);
         return Ok((verdict, report));
@@ -1026,13 +962,12 @@ fn run_race(
 }
 
 /// Folds the report of a stage that ran into the check's report. The
-/// stage's time adds to the engine time, and its counters take
-/// precedence over an earlier stage's: they describe the work the check
-/// went on with (the race's prefix, say, not stage 2's truncated one).
+/// stage's counters take precedence over an earlier stage's: they
+/// describe the work the check went on with (the race's prefix, say,
+/// not stage 2's truncated one).
 fn fold_stage(report: &mut ResourceReport, stage: ResourceReport) {
     let earlier = std::mem::replace(report, stage);
     report.engine = earlier.engine;
-    report.elapsed += earlier.elapsed;
     merge_report(report, earlier);
 }
 
@@ -1055,7 +990,6 @@ fn merge_report(aggregate: &mut ResourceReport, from: ResourceReport) {
     aggregate.bdd = aggregate.bdd.take().or(from.bdd);
     aggregate.cegar = aggregate.cegar.or(from.cegar);
     aggregate.unfold = aggregate.unfold.or(from.unfold);
-    aggregate.lint = aggregate.lint.or(from.lint);
     aggregate.structure = aggregate.structure.or(from.structure);
 }
 
@@ -1357,52 +1291,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prelint_short_circuits_all_engines_on_a_proved_family() {
-        use stg::gen::counterflow::counterflow_sym;
-
-        // CF-SYM-A: conflict-free, and the lint LP relaxation proves
-        // it. Every engine must short-circuit identically, except that
-        // `Race` runs its capped unfolding stage before the LP.
-        let stg = counterflow_sym(2, 3);
-        let artifacts = Artifacts::of(&stg);
-        let race_artifacts = Artifacts::of(&stg);
-        for engine in [
-            Engine::UnfoldingIlp,
-            Engine::ExplicitStateGraph,
-            Engine::SymbolicBdd,
-            Engine::Race,
-        ] {
-            for property in [Property::Usc, Property::Csc] {
-                let run = CheckRequest::new(&stg, property)
-                    .engine(engine)
-                    .artifacts(if engine == Engine::Race {
-                        &race_artifacts
-                    } else {
-                        &artifacts
-                    })
-                    .prelint(true)
-                    .run()
-                    .unwrap();
-                assert_eq!(run.verdict, Verdict::Holds, "{engine:?}/{property:?}");
-                if engine == Engine::Race {
-                    assert_eq!(run.report.winner, Some("unfolding-ilp"));
-                    continue;
-                }
-                assert_eq!(run.report.winner, Some("lint"));
-                assert_eq!(run.report.prefix_events_built, Some(0));
-                let lint = run.report.lint.expect("prelint report block");
-                assert!(lint.proved);
-                assert!(lint.usc_proved);
-                assert_eq!(lint.errors, 0);
-            }
-        }
-        // The engines were never consulted: no stage was built.
-        assert!(!artifacts.has_prefix());
-        assert!(!artifacts.has_state_graph());
-        assert!(!artifacts.has_symbolic());
-    }
-
     /// A single-token state machine with a genuine USC conflict:
     /// `a` runs its rise/fall alternation twice around one cycle, so
     /// two distinct places carry the same code.
@@ -1495,46 +1383,14 @@ mod tests {
     }
 
     #[test]
-    fn prelint_defers_to_engines_on_real_conflicts() {
-        let stg = vme_read();
-        let run = CheckRequest::new(&stg, Property::Csc)
-            .engine(Engine::UnfoldingIlp)
-            .prelint(true)
-            .run()
-            .unwrap();
-        assert_eq!(run.verdict.holds(), Some(false));
-        let lint = run.report.lint.expect("unproved lint summary attached");
-        assert!(!lint.proved);
-        assert!(!lint.usc_proved);
-        assert!(lint.all_consistent);
-        assert!(run.report.prefix_events_built.is_some_and(|n| n > 0));
-    }
-
-    #[test]
-    fn prelint_never_claims_normalcy() {
-        use stg::gen::counterflow::counterflow_sym;
-
-        let stg = counterflow_sym(2, 3);
-        let run = CheckRequest::new(&stg, Property::Normalcy)
-            .engine(Engine::ExplicitStateGraph)
-            .prelint(true)
-            .run()
-            .unwrap();
-        // The lint layer has no normalcy relaxation: an engine decides.
-        assert_ne!(run.report.winner, Some("lint"));
-        assert!(run.report.lint.is_some());
-    }
-
-    #[test]
-    fn race_answers_from_the_capped_unfolding_stage_before_the_lp() {
-        // The LP proves CF-SYM-A, but the paper's engine comes first:
-        // no lint block, no racer started.
+    fn race_answers_from_the_capped_unfolding_stage() {
+        // The paper's engine answers CF-SYM-A under stage 2's caps: no
+        // racer starts, so neither does CEGAR's LP.
         let stg = counterflow_sym(2, 3);
         let artifacts = Artifacts::of(&stg);
         let run = CheckRequest::new(&stg, Property::Csc)
             .engine(Engine::Race)
             .artifacts(&artifacts)
-            .prelint(true)
             .structure(true)
             .run()
             .unwrap();
@@ -1542,7 +1398,7 @@ mod tests {
         assert_eq!(run.report.engine, "race");
         assert_eq!(run.report.winner, Some("unfolding-ilp"));
         assert!(!run.report.raced);
-        assert_eq!(run.report.lint, None, "the LP never ran");
+        assert_eq!(run.report.cegar, None, "the CEGAR racer never ran");
         assert!(run.report.structure.is_some());
         assert!(run.report.prefix_events.is_some_and(|n| n > 0));
         assert!(!artifacts.has_state_graph() && !artifacts.has_symbolic());
@@ -1558,7 +1414,6 @@ mod tests {
         let run = CheckRequest::new(&stg, Property::Csc)
             .engine(Engine::Race)
             .artifacts(&artifacts)
-            .prelint(true)
             .structure(true)
             .run()
             .unwrap();
@@ -1567,7 +1422,6 @@ mod tests {
         assert_eq!(run.report.states, Some(12));
         assert_eq!(run.report.prefix_events_built, Some(0));
         assert!(!run.report.raced);
-        assert_eq!(run.report.lint, None, "the LP never ran");
         assert!(!artifacts.has_prefix());
     }
 
@@ -1577,7 +1431,6 @@ mod tests {
         let run = CheckRequest::new(&stg, Property::Csc)
             .engine(Engine::Race)
             .budget(Budget::unlimited().with_deadline(std::time::Duration::ZERO))
-            .prelint(true)
             .run()
             .unwrap();
         assert_eq!(
@@ -1589,11 +1442,11 @@ mod tests {
     }
 
     #[test]
-    fn race_falls_through_to_the_lp_and_the_race_when_the_prefix_outgrows_the_cap() {
+    fn race_falls_through_to_the_racers_when_the_prefix_outgrows_the_cap() {
         // A request cap below the prefix size lowers stage 2's cap, so
         // the capped stage abstains on every net here (each has more
-        // markings than the probe enumerates); the LP and the race then
-        // answer exactly as the explicit oracle does.
+        // markings than the probe enumerates); the racers then answer
+        // exactly as the explicit oracle does.
         let budget = Budget::unlimited().with_max_events(4);
         for stg in [dup_4ph(3, false), counterflow_sym(2, 3), dup_4ph(2, false)] {
             let oracle = CheckRequest::new(&stg, Property::Csc)
@@ -1604,19 +1457,33 @@ mod tests {
             let run = CheckRequest::new(&stg, Property::Csc)
                 .engine(Engine::Race)
                 .budget(budget.clone())
-                .prelint(true)
                 .run()
                 .unwrap();
             assert_eq!(run.verdict.holds(), oracle.verdict.holds());
-            assert!(run.report.lint.is_some(), "the LP ran after stage 2");
-            match run.report.winner {
-                Some("lint") => assert!(!run.report.raced),
-                Some(winner) => {
-                    assert!(run.report.raced, "{winner} won the race stage");
-                    assert_ne!(winner, "unfolding-ilp", "the unfolding racer is capped too");
-                }
-                None => panic!("inconclusive: {:?}", run.verdict),
-            }
+            assert!(run.report.raced, "the racers ran after stage 2");
+            let winner = run.report.winner.expect("a racer answers");
+            assert!(
+                ["explicit", "symbolic", "cegar"].contains(&winner),
+                "{winner}: the unfolding racer is capped too"
+            );
+        }
+    }
+
+    #[test]
+    fn prelint_has_no_effect() {
+        // The same check with and without the old switch gives the same
+        // run, report included, apart from its wall time. Under
+        // `UnfoldingIlp` the engine still builds its prefix on a net
+        // the LP proves.
+        let stg = counterflow_sym(2, 3);
+        for engine in [Engine::UnfoldingIlp, Engine::Race] {
+            let request = || CheckRequest::new(&stg, Property::Csc).engine(engine);
+            let mut plain = request().run().unwrap();
+            let mut switched = CheckRequest::prelint(request(), true).run().unwrap();
+            plain.report.elapsed = std::time::Duration::ZERO;
+            switched.report.elapsed = std::time::Duration::ZERO;
+            assert_eq!(switched, plain, "{engine:?}");
+            assert!(switched.report.prefix_events_built.is_some_and(|n| n > 0));
         }
     }
 

@@ -70,8 +70,8 @@ pub use consistency::{ConsistencyOutcome, ConsistencyViolation};
 pub use engine::{CheckRequest, Engine, Property};
 pub use error::CheckError;
 pub use limits::{
-    Budget, CancelToken, CheckRun, ExhaustionReason, LintSummary, ResourceReport, StructureSummary,
-    Verdict, Witness,
+    Budget, CancelToken, CheckRun, ExhaustionReason, ResourceReport, StructureSummary, Verdict,
+    Witness,
 };
 pub use report::AnalysisReport;
 pub use symbolic::BddStats;

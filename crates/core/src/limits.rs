@@ -283,8 +283,8 @@ pub struct ResourceReport {
     /// Engine that produced the verdict (`"unfolding-ilp"`,
     /// `"explicit"`, `"symbolic"`, `"cegar"`, `"race"`).
     pub engine: &'static str,
-    /// The stage that answered: `"structure"` or `"lint"` when that
-    /// stage decided the check before any engine ran, and for `"race"`
+    /// The stage that answered: `"structure"` when that stage decided
+    /// the check before any engine ran, and for `"race"`
     /// the schedule stage or racer whose verdict was adopted
     /// (`"explicit"`, `"unfolding-ilp"`, `"symbolic"`, `"cegar"`).
     /// `None` when an engine other than `"race"` answered, or when no
@@ -292,12 +292,12 @@ pub struct ResourceReport {
     pub winner: Option<&'static str>,
     /// Whether the four-way race of [`crate::Engine::Race`] ran, i.e.
     /// its racers were started. `false` when an earlier stage of the
-    /// schedule (structure, small-state probe, capped unfolding,
-    /// prelint LP) answered or used up the deadline, and for every
-    /// other engine.
+    /// schedule (structure, small-state probe, capped unfolding)
+    /// answered or used up the deadline, and for every other engine.
     pub raced: bool,
-    /// Wall-clock time spent in the engine stages. The structure and
-    /// prelint stages are excluded unless one of them answered.
+    /// Wall-clock time of the whole check, from the start of
+    /// [`crate::CheckRequest::run`] to its verdict, every stage
+    /// included, whichever stage answered.
     pub elapsed: Duration,
     /// Unfolding events in the prefix the check ran on (its size,
     /// whether freshly built or reused from an artifact cache).
@@ -322,11 +322,6 @@ pub struct ResourceReport {
     /// order). `None` for engines that never touched the symbolic
     /// stage.
     pub bdd: Option<BddStats>,
-    /// Result of the static prelint stage, when one ran (see
-    /// [`crate::CheckRequest::prelint`]). `lint.proved` marks a
-    /// verdict produced by the lint layer alone — no engine ran and
-    /// no state space was explored.
-    pub lint: Option<LintSummary>,
     /// Result of the structural net-class pass, when one ran (see
     /// [`crate::CheckRequest::structure`]). `structure.proved` marks
     /// a verdict decided by the class-gated fast path alone — no
@@ -336,9 +331,8 @@ pub struct ResourceReport {
     /// branch nodes, …). `None` for every other engine.
     pub cegar: Option<CegarStats>,
     /// Counters of the unfolding stage the prefix this run used was
-    /// built with (possible extensions discovered/committed, discovery
-    /// worker count, parallel-vs-serial wall-clock split). When the
-    /// prefix was reused from a shared [`crate::artifact::Artifacts`]
+    /// built with (possible extensions discovered and committed). When
+    /// the prefix was reused from a shared [`crate::artifact::Artifacts`]
     /// cache these describe the *original* construction — the run
     /// itself built `prefix_events_built = 0` events. `None` for
     /// engines that never touched the unfolding stage.
@@ -367,23 +361,6 @@ pub struct StructureSummary {
     pub proved: bool,
 }
 
-/// Summary of a prelint pass attached to a [`ResourceReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LintSummary {
-    /// The verdict of this run was proved by the lint layer's
-    /// LP-relaxation alone (`lint_proved` on the wire): the engines
-    /// were short-circuited and `prefix_events_built` is 0.
-    pub proved: bool,
-    /// Error diagnostics found.
-    pub errors: u64,
-    /// Warning diagnostics found.
-    pub warnings: u64,
-    /// The USC (hence CSC) LP relaxation was infeasible everywhere.
-    pub usc_proved: bool,
-    /// Every signal was proved consistent by the LP relaxation.
-    pub all_consistent: bool,
-}
-
 impl ResourceReport {
     /// An empty report for `engine` (all counters `None`, zero
     /// elapsed time).
@@ -400,7 +377,6 @@ impl ResourceReport {
             states: None,
             bdd_nodes: None,
             bdd: None,
-            lint: None,
             structure: None,
             cegar: None,
             unfold: None,

@@ -305,10 +305,13 @@ pub fn synthesize(
     // input is structurally broken, which no insertion fixes. The LP
     // proofs are left out: nothing here reads them.
     let t = Instant::now();
-    let lint_report = artifacts.lint_with(&lint::LintOptions {
-        lp: false,
-        ..lint::LintOptions::default()
-    });
+    let lint_report = lint::lint_stg(
+        stg,
+        &lint::LintOptions {
+            lp: false,
+            ..lint::LintOptions::default()
+        },
+    );
     let errors = lint_report.errors() as u64;
     report.stage(
         "lint",

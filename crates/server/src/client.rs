@@ -165,17 +165,6 @@ impl CheckResponse {
             .filter(|v| !v.is_null())
     }
 
-    /// The revision-3 `report.lint` summary object, when the server
-    /// ran the pre-engine lint stage for the job. `None` on older
-    /// revisions and on servers with prelint disabled, so callers
-    /// need no protocol-version branch of their own.
-    pub fn lint_summary(&self) -> Option<&Value> {
-        self.raw
-            .get("report")
-            .and_then(|r| r.get("lint"))
-            .filter(|v| !v.is_null())
-    }
-
     /// The revision-7 `report.unfold` counter block
     /// (`pe_discovered`, `pe_commits`), when the job's engine built an
     /// unfolding prefix.

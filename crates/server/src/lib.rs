@@ -11,9 +11,9 @@
 //! `resolve_failed` code. Jobs are scheduled onto a fixed worker pool
 //! ([`server`]), and by default each worker decides its job with the
 //! `Engine::Race` schedule under one absolute deadline: the structure
-//! fast path, the paper's unfolding+ILP engine under small caps, the
-//! prelint LP, and only then a race of the base engines on separate
-//! threads, first conclusive verdict wins, losers cancelled.
+//! fast path, the paper's unfolding+ILP engine under small caps, and
+//! only then a race of the base engines on separate threads, first
+//! conclusive verdict wins, losers cancelled.
 //!
 //! The [`client`] module is the matching blocking client, used by
 //! `stgcheck --server`, `stgbench` and the integration tests.

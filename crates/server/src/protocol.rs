@@ -339,8 +339,8 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// The protocol revision stamped on check responses. Revision 2
 /// added the `proto` field itself and the optional `report.bdd`
 /// stats object; revision-1 responses carry neither, so clients
-/// treat an absent `proto` as 1. Revision 3 added the optional
-/// `report.lint` summary object and the `lint_rejected` admission
+/// treat an absent `proto` as 1. Revision 3 added the optional lint
+/// summary object in `report` and the `lint_rejected` admission
 /// error (a `status: error` response with `code: "lint_rejected"`
 /// and a `diagnostics` array). Revision 4 added load-shedding
 /// responses (`code: "queue_full"` / `"over_quota"` carrying a
@@ -375,8 +375,10 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// the synthesize response's `resolve` block (conflict-core-guided
 /// candidate generation and its structural-concurrency pruning).
 /// The block is null for jobs that skipped the pass, so older clients
-/// that ignore unknown members keep working unchanged.
-pub const PROTO_VERSION: u64 = 8;
+/// that ignore unknown members keep working unchanged. Revision 9
+/// removed revision 3's lint summary, the `lint` winner and the
+/// `lint_proved` stats counter: a check runs no LP stage of its own.
+pub const PROTO_VERSION: u64 = 9;
 
 /// Encodes the verdict response for a completed check.
 pub fn encode_check_response(id: &str, stg: &Stg, run: &CheckRun) -> String {
@@ -669,22 +671,6 @@ fn encode_report(report: &ResourceReport) -> Value {
         ("solver_steps".to_owned(), opt(report.solver_steps)),
         ("states".to_owned(), opt(report.states)),
         ("bdd_nodes".to_owned(), opt(report.bdd_nodes)),
-        (
-            "lint".to_owned(),
-            match &report.lint {
-                None => Value::Null,
-                Some(summary) => Value::Obj(vec![
-                    ("proved".to_owned(), Value::from(summary.proved)),
-                    ("errors".to_owned(), Value::from(summary.errors)),
-                    ("warnings".to_owned(), Value::from(summary.warnings)),
-                    ("usc_proved".to_owned(), Value::from(summary.usc_proved)),
-                    (
-                        "all_consistent".to_owned(),
-                        Value::from(summary.all_consistent),
-                    ),
-                ]),
-            },
-        ),
         (
             "structure".to_owned(),
             match &report.structure {
@@ -1020,6 +1006,9 @@ mod tests {
             .get("report")
             .and_then(|r| r.get("bdd"))
             .is_some_and(Value::is_null));
+        // Revision 9 dropped the `lint` member with the LP stage.
+        assert_eq!(PROTO_VERSION, 9);
+        assert!(v.get("report").and_then(|r| r.get("lint")).is_none());
     }
 
     #[test]

@@ -135,8 +135,6 @@ struct Stats {
     holds: u64,
     violated: u64,
     unknown: u64,
-    /// Jobs answered by the lint LP proof alone — no engine ran.
-    lint_proved: u64,
     /// `synthesize` jobs admitted to the queue.
     synthesize_received: u64,
     /// `synthesize` jobs that ended conflict-free (clean or resolved).
@@ -532,7 +530,6 @@ impl Shared {
                             ("unknown".to_owned(), Value::from(stats.unknown)),
                         ]),
                     ),
-                    ("lint_proved".to_owned(), Value::from(stats.lint_proved)),
                     (
                         "synthesize".to_owned(),
                         Value::Obj(vec![
@@ -1239,18 +1236,14 @@ fn process_check(request: &CheckRequest, job: &Job, shared: &Arc<Shared>) -> Str
     // construction, state-graph exploration and BDD re-encoding.
     let (artifacts, _cache_hit) = shared.cache.get_or_insert(stg);
     // The wire `CheckRequest` above describes the job; this one runs
-    // it (`csc_core`'s builder shares the name). Prelint is on: a
-    // family whose property the LP relaxation proves answers without
-    // any engine touching the state space, and the proof is cached in
-    // the shared artifacts for repeat nets.
-    // The structure pass rides along too: its class-gated fast paths
-    // can answer without any engine, and the revision-8 responses
-    // surface the detected net class to clients.
+    // it (`csc_core`'s builder shares the name). The structure pass
+    // runs first: its class-gated fast paths can answer without any
+    // engine, and the revision-8 responses surface the detected net
+    // class to clients.
     let result = csc_core::CheckRequest::new(stg, property)
         .engine(engine)
         .budget(budget)
         .artifacts(&artifacts)
-        .prelint(true)
         .structure(true)
         .run();
     match result {
@@ -1266,13 +1259,9 @@ fn process_check(request: &CheckRequest, job: &Job, shared: &Arc<Shared>) -> Str
                     Some(false) => stats.violated += 1,
                     None => stats.unknown += 1,
                 }
-                let lint_proved = run.report.lint.is_some_and(|l| l.proved);
-                if lint_proved {
-                    stats.lint_proved += 1;
-                }
                 // Race attribution only applies when the racers
                 // actually started; a job answered by an earlier stage
-                // of the schedule (structure, capped unfolding, LP)
+                // of the schedule (structure, probe, capped unfolding)
                 // never spawned them.
                 if run.report.raced {
                     match run.report.winner {
@@ -1774,16 +1763,21 @@ mod tests {
     }
 
     #[test]
-    fn lint_proved_families_short_circuit_without_engines() {
-        let server = spawn(ServerConfig {
-            default_engine: Engine::UnfoldingIlp,
-            ..Default::default()
-        })
-        .expect("bind");
+    fn lint_proved_families_are_proved_by_cegar_without_a_prefix() {
+        // CF-SYM-A, which the LP relaxation proves: a job naming
+        // `cegar` holds from that LP alone, with no prefix built and
+        // no lint stage ahead of the engine.
+        let server = local_server(1);
         let mut client = Client::connect(server.addr()).expect("connect");
         let g = stg::to_g_format(&stg::gen::counterflow::counterflow_sym(2, 3), "cf");
         let response = client
-            .check("jp", &g, Property::Usc, None, BudgetSpec::default())
+            .check(
+                "jp",
+                &g,
+                Property::Usc,
+                Some(Engine::Cegar),
+                BudgetSpec::default(),
+            )
             .expect("check");
         assert_eq!(
             response.verdict.as_deref(),
@@ -1791,17 +1785,17 @@ mod tests {
             "{:?}",
             response.raw
         );
-        assert_eq!(response.winner.as_deref(), Some("lint"));
+        assert_eq!(response.engine.as_deref(), Some("cegar"));
+        assert_eq!(response.winner, None);
         let report = response.raw.get("report").expect("report");
         assert_eq!(
             report.get("prefix_events_built").and_then(Value::as_u64),
             Some(0),
             "no engine may touch the state space"
         );
-        let lint = response.lint_summary().expect("lint summary present");
-        assert_eq!(lint.get("proved").and_then(Value::as_bool), Some(true));
-        assert_eq!(lint.get("usc_proved").and_then(Value::as_bool), Some(true));
-        assert_eq!(lint.get("errors").and_then(Value::as_u64), Some(0));
+        assert!(report.get("lint").is_none(), "{report:?}");
+        let cegar = report.get("cegar").expect("cegar block");
+        assert_eq!(cegar.get("branch_nodes").and_then(Value::as_u64), Some(0));
         server.shutdown();
     }
 

@@ -182,11 +182,10 @@ fn hung_job_watchdog_cancels_runaways() {
     })
     .expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    // A deep pipeline runs far past the 60ms bound (its prelint LP
-    // alone is a multi-second exact-arithmetic solve); both the LP
-    // and the explicit engine poll the cancel token, so the
-    // watchdog's cancellation surfaces as a prompt `cancelled`
-    // verdict instead of an uninterruptible grind.
+    // A deep pipeline runs far past the 60ms bound (the explicit
+    // engine enumerates its whole state space); the engine polls the
+    // cancel token, so the watchdog's cancellation surfaces as a
+    // prompt `cancelled` verdict instead of an uninterruptible grind.
     let runaway = stg::to_g_format(&muller_pipeline(12), "deep");
     let response = client
         .check(

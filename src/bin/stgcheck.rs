@@ -22,8 +22,8 @@
 //!
 //! Engines: `unfolding` (default; also `unfolding-ilp`), `explicit`,
 //! `symbolic`, `cegar`, `race` (the service's ordered schedule:
-//! structure, then the paper's engine under caps, then the LP, then a
-//! race of the base engines). The `usc`/`csc` commands also accept
+//! structure, then the paper's engine under caps, then a race of the
+//! base engines). The `usc`/`csc` commands also accept
 //! budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
 //! code 3.
@@ -64,7 +64,9 @@
 //! An unknown `--flag` is a usage error.
 //!
 //! Exit codes: 0 = property holds / ok, 1 = conflict found, 2 = usage
-//! or processing error, 3 = inconclusive (budget exhausted).
+//! or processing error, 3 = inconclusive (budget exhausted). When the
+//! reader of stdout goes away (`stgcheck report x.g | head -1`), the
+//! process ends on `SIGPIPE`, quietly, like any Unix filter.
 
 use std::fs;
 use std::process::ExitCode;
@@ -80,7 +82,31 @@ use stg_coding_conflicts::server::{Client, RetryPolicy};
 use stg_coding_conflicts::stg::{self, Stg};
 use stg_coding_conflicts::unfolding::{self, OrderStrategy, Prefix, UnfoldOptions};
 
+/// Restores the default action of `SIGPIPE`, which the Rust runtime
+/// sets to "ignore": `println!` would then panic, with a backtrace, as
+/// soon as the reader of stdout goes away. Sockets are unaffected: the
+/// standard library sends on them without raising the signal.
+#[cfg(unix)]
+fn restore_sigpipe() {
+    // Hand-rolled signal(2) binding, as in `stgd`.
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` reads only its two integer arguments; `SIG_DFL`
+    // is a valid disposition for `SIGPIPE`, and no other thread is
+    // running yet to race on it.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_sigpipe() {}
+
 fn main() -> ExitCode {
+    restore_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => ExitCode::from(code),
@@ -405,14 +431,13 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
 }
 
 /// An in-process check request. Under `race` it runs the schedule
-/// `stgd` serves: the structure pass and the prelint LP are on.
+/// `stgd` serves: the structure pass is on.
 fn request(model: &Stg, property: Property, engine: Engine, budget: Budget) -> CheckRequest<'_> {
     let served = engine == Engine::Race;
     CheckRequest::new(model, property)
         .engine(engine)
         .budget(budget)
         .structure(served)
-        .prelint(served)
 }
 
 /// Prints what a run recorded: the stage that answered, when the

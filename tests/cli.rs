@@ -132,3 +132,36 @@ fn race_runs_the_served_schedule_in_process() {
     assert!(text.contains("Csc: satisfied"), "{text}");
     assert!(text.contains("winner: structure"), "{text}");
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // The reader takes one line and goes away, as `| head -1` does.
+    // The generated net is larger than a pipe's buffer, so its write
+    // is still pending when the pipe closes; the other two commands
+    // print their later lines after computing them.
+    for args in [
+        &["gen", "pipeline", "3000"][..],
+        &["synthesize", "assets/vme_read.g", "--engine", "race"],
+        &["report", "assets/vme_read.g"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_stgcheck"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("stdout piped"))
+            .read_line(&mut first)
+            .expect("first line");
+        assert!(!first.is_empty(), "{args:?}");
+        let out = child.wait_with_output().expect("exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
