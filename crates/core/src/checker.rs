@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use ilp::{CmpOp, Problem, Solver, SolverOptions};
+use ilp::{AbortCause, CmpOp, LinExpr, Problem, Solver, SolverOptions};
 use petri::{BitSet, StopGuard};
 use stg::{Signal, Stg};
 use unfolding::{EventRelations, Prefix, UnfoldOptions};
@@ -38,6 +38,19 @@ impl Default for CheckerOptions {
             compatibility_constraints: false,
         }
     }
+}
+
+/// The pairs `(C′, C″)` a conflict search ranges over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairSpace {
+    /// Every pair with `M⁰ <lex M¹` (symmetry breaking only).
+    Lex,
+    /// The §7 subset chain `C′ ⊆ C″` (Proposition 1).
+    Chain,
+    /// The minimal pairs of the subset chain: `C′ = ↓D ∖ D` with
+    /// `D = C″ ∖ C′`. They keep every code difference and marking
+    /// difference of the chain, so USC is decided on them alone.
+    MinimalChain,
 }
 
 /// Verdict of a USC/CSC check.
@@ -225,25 +238,59 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Adds the separating constraint `M⁰ ≠ M¹` — as `M⁰ <lex M¹` in
-    /// general (symmetry breaking), or as plain disequality plus the
-    /// subset restriction when the §7 optimisation applies.
-    fn add_separation(&self, problem: &mut Problem<'_>) {
-        self.add_separation_with(problem, true);
+    /// A pair problem for the §3 conflict constraints
+    /// `Code(x⁰) = Code(x¹)` and `M⁰ ≠ M¹`, searched over `space` when
+    /// the prefix admits it. Returns the problem and the space actually
+    /// applied: the §7 spaces need a dynamically conflict-free prefix
+    /// and [`CheckerOptions::conflict_free_optimisation`], and fall back
+    /// to [`PairSpace::Lex`] otherwise.
+    fn conflict_problem(&self, space: PairSpace) -> (Problem<'_>, PairSpace) {
+        let mut problem = self.base_problem(2);
+        self.add_code_equality(&mut problem);
+        let space = self.add_separation(&mut problem, space);
+        (problem, space)
     }
 
-    fn add_separation_with(&self, problem: &mut Problem<'_>, allow_cf_opt: bool) {
+    /// Adds the separating constraint `M⁰ ≠ M¹` — as `M⁰ <lex M¹` in
+    /// general (symmetry breaking), or as plain disequality plus the
+    /// subset restriction when the §7 optimisation applies — and
+    /// returns the space applied.
+    fn add_separation(&self, problem: &mut Problem<'_>, space: PairSpace) -> PairSpace {
         let np = self.stg.net().num_places();
         let lhs = marking_exprs(problem, &self.prefix, np, 0);
         let rhs = marking_exprs(problem, &self.prefix, np, 1);
-        if allow_cf_opt
-            && self.options.conflict_free_optimisation
-            && self.prefix.is_dynamically_conflict_free()
+        if space == PairSpace::Lex
+            || !self.options.conflict_free_optimisation
+            || !self.prefix.is_dynamically_conflict_free()
         {
-            problem.set_subset_chain();
-            problem.add_not_equal(lhs, rhs);
-        } else {
             problem.add_lex_less(lhs, rhs);
+            return PairSpace::Lex;
+        }
+        problem.set_subset_chain();
+        problem.add_not_equal(lhs, rhs);
+        if space == PairSpace::MinimalChain {
+            self.add_minimal_pair_rows(problem);
+        }
+        space
+    }
+
+    /// Adds `x⁰(e) ≤ Σ_{f ∈ e••, f not a cut-off} x¹(f)` for every
+    /// non-cut-off event `e`: every event of `C′` has an immediate
+    /// successor in `C″`. Under the subset chain this pins `C′` to
+    /// `↓D ∖ D` with `D = C″ ∖ C′` (docs/THEORY.md §7, minimal pairs).
+    fn add_minimal_pair_rows(&self, problem: &mut Problem<'_>) {
+        let prefix = &self.prefix;
+        for e in prefix.events().filter(|&e| !prefix.is_cutoff(e)) {
+            let mut expr = LinExpr::new();
+            expr.push(problem.var(0, e), 1);
+            for &b in prefix.event_postset(e) {
+                for &f in prefix.cond_consumers(b) {
+                    if !prefix.is_cutoff(f) {
+                        expr.push(problem.var(1, f), -1);
+                    }
+                }
+            }
+            problem.add_linear(expr, CmpOp::Le);
         }
     }
 
@@ -281,14 +328,37 @@ impl<'a> Checker<'a> {
     pub(crate) fn run_pair_search(
         &self,
         problem: &Problem<'_>,
+        accept: impl FnMut(&[BitSet]) -> bool,
+    ) -> Result<Option<Vec<BitSet>>, CheckError> {
+        self.search_after(problem, 0, accept)
+    }
+
+    /// [`Checker::run_pair_search`] for a query that has already spent
+    /// `spent` solver steps: the step budget bounds the query as a
+    /// whole, and an abort reports the query's totals.
+    fn search_after(
+        &self,
+        problem: &Problem<'_>,
+        spent: u64,
         mut accept: impl FnMut(&[BitSet]) -> bool,
     ) -> Result<Option<Vec<BitSet>>, CheckError> {
-        let mut solver = Solver::new(problem, self.options.solver);
+        let max_steps = self.options.solver.max_steps;
+        let options = SolverOptions {
+            max_steps: max_steps.saturating_sub(spent),
+            ..self.options.solver
+        };
+        let mut solver = Solver::new(problem, options);
         solver.set_guard(self.guard.clone());
         let solution = solver.solve_checked(&mut accept);
         self.solver_steps
             .set(self.solver_steps.get() + solver.stats().propagations);
-        Ok(solution?)
+        solution.map_err(|mut e| {
+            if let AbortCause::StepLimit(_) = e.cause {
+                e.cause = AbortCause::StepLimit(max_steps);
+            }
+            e.stats.propagations += spent;
+            CheckError::from(e)
+        })
     }
 
     /// Checks the Unique State Coding property (§3). On conflict the
@@ -300,9 +370,7 @@ impl<'a> Checker<'a> {
     /// [`CheckError::Solve`] if the solver was aborted (step budget,
     /// cancellation or deadline) before reaching a verdict.
     pub fn check_usc(&self) -> Result<CheckOutcome, CheckError> {
-        let mut problem = self.base_problem(2);
-        self.add_code_equality(&mut problem);
-        self.add_separation(&mut problem);
+        let (problem, _) = self.conflict_problem(PairSpace::MinimalChain);
         match self.run_pair_search(&problem, |_| true)? {
             Some(sides) => Ok(CheckOutcome::Conflict(
                 self.make_witness(ConflictKind::Usc, &sides)?,
@@ -317,14 +385,19 @@ impl<'a> Checker<'a> {
     /// total assignment "directly from the STG", continuing the
     /// search through USC conflicts that are not CSC conflicts.
     ///
+    /// On a conflict-free prefix the search runs in two phases, both
+    /// within one step budget. The first searches the minimal pairs
+    /// only (`C′ = ↓D ∖ D`, `D = C″ ∖ C′`): an accepted pair is a CSC
+    /// conflict, and no USC conflict at all proves CSC. `Out` depends
+    /// on `C′` itself, not only on `C″ ∖ C′`, so when the first phase
+    /// met USC conflicts but accepted none, the second phase searches
+    /// the whole subset chain.
+    ///
     /// # Errors
     ///
     /// [`CheckError::Solve`] if the solver was aborted (step budget,
     /// cancellation or deadline) before reaching a verdict.
     pub fn check_csc(&self) -> Result<CheckOutcome, CheckError> {
-        let mut problem = self.base_problem(2);
-        self.add_code_equality(&mut problem);
-        self.add_separation(&mut problem);
         let prefix = &self.prefix;
         let stg = self.stg;
         let accept = |sides: &[BitSet]| {
@@ -332,7 +405,18 @@ impl<'a> Checker<'a> {
             let out2 = stg.enabled_local_signals(&prefix.marking_of(&sides[1]));
             out1 != out2
         };
-        match self.run_pair_search(&problem, accept)? {
+        let before = self.solver_steps();
+        let (problem, space) = self.conflict_problem(PairSpace::MinimalChain);
+        let mut usc_conflicts = 0u64;
+        let mut found = self.run_pair_search(&problem, |sides| {
+            usc_conflicts += 1;
+            accept(sides)
+        })?;
+        if found.is_none() && space == PairSpace::MinimalChain && usc_conflicts > 0 {
+            let (problem, _) = self.conflict_problem(PairSpace::Chain);
+            found = self.search_after(&problem, self.solver_steps() - before, accept)?;
+        }
+        match found {
             Some(sides) => Ok(CheckOutcome::Conflict(
                 self.make_witness(ConflictKind::Csc, &sides)?,
             )),
@@ -355,12 +439,10 @@ impl<'a> Checker<'a> {
         kind: ConflictKind,
         limit: usize,
     ) -> Result<Vec<ConflictWitness>, CheckError> {
-        let mut problem = self.base_problem(2);
-        self.add_code_equality(&mut problem);
         // Full enumeration must not use the §7 subset restriction:
         // Proposition 1 preserves *existence* of conflicts under the
         // restriction, not the complete set of conflicting pairs.
-        self.add_separation_with(&mut problem, false);
+        let (problem, _) = self.conflict_problem(PairSpace::Lex);
         let prefix = &self.prefix;
         let stg = self.stg;
         let mut seen: std::collections::HashSet<(petri::Marking, petri::Marking)> =
@@ -504,11 +586,13 @@ impl<'a> Checker<'a> {
 mod tests {
     use super::*;
     use crate::witness::ConflictKind;
+    use stg::gen::arbiter::mutex_arbiter;
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::{dup_4ph, dup_mod};
-    use stg::gen::ring::lazy_ring;
+    use stg::gen::ring::{eager_ring, lazy_ring};
     use stg::gen::vme::{vme_read, vme_read_csc_resolved};
     use stg::StateGraph;
+    use unfolding::EventId;
 
     #[test]
     fn vme_csc_conflict_matches_fig1() {
@@ -687,6 +771,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Whether `(c1, c2)` is a minimal pair: `c1 = ↓D ∖ D`, `D = c2 ∖ c1`.
+    fn is_minimal_pair(prefix: &Prefix, c1: &BitSet, c2: &BitSet) -> bool {
+        let mut d = c2.clone();
+        d.difference_with(c1);
+        let mut past = prefix.empty_config();
+        for e in d.iter() {
+            past.union_with(prefix.local_config(EventId::from_index(e)));
+        }
+        past.difference_with(&d);
+        c1.is_subset(c2) && past == *c1
+    }
+
+    #[test]
+    fn minimal_pair_rows_need_a_conflict_free_prefix_and_the_option() {
+        let chained = counterflow_sym(2, 2);
+        let checker = Checker::new(&chained).unwrap();
+        assert!(checker.prefix().is_dynamically_conflict_free());
+        let (problem, space) = checker.conflict_problem(PairSpace::MinimalChain);
+        assert_eq!(space, PairSpace::MinimalChain);
+        assert!(problem.subset_chain());
+        assert_eq!(
+            checker.conflict_problem(PairSpace::Chain).1,
+            PairSpace::Chain
+        );
+        // A prefix with a choice gets neither the chain nor the rows.
+        let arbiter = mutex_arbiter(2);
+        let checker = Checker::new(&arbiter).unwrap();
+        assert!(!checker.prefix().is_dynamically_conflict_free());
+        let (problem, space) = checker.conflict_problem(PairSpace::MinimalChain);
+        assert_eq!(space, PairSpace::Lex);
+        assert!(!problem.subset_chain());
+        // Nor does a conflict-free prefix with the option off.
+        let options = CheckerOptions {
+            conflict_free_optimisation: false,
+            ..Default::default()
+        };
+        let checker = Checker::with_options(&chained, options).unwrap();
+        let (problem, space) = checker.conflict_problem(PairSpace::MinimalChain);
+        assert_eq!(space, PairSpace::Lex);
+        assert!(!problem.subset_chain());
+    }
+
+    #[test]
+    fn conflicted_table1_witnesses_are_minimal_pairs() {
+        let rows = [
+            lazy_ring(4),
+            eager_ring(4),
+            dup_4ph(1, false),
+            dup_4ph(2, false),
+            dup_4ph(3, false),
+            dup_4ph(4, false),
+            dup_mod(2),
+            dup_mod(4),
+            dup_mod(6),
+        ];
+        for (i, stg) in rows.iter().enumerate() {
+            let checker = Checker::new(stg).unwrap();
+            let prefix = checker.prefix();
+            assert!(prefix.is_dynamically_conflict_free(), "row {i}");
+            for outcome in [checker.check_usc().unwrap(), checker.check_csc().unwrap()] {
+                let CheckOutcome::Conflict(w) = outcome else {
+                    panic!("row {i} is conflicted");
+                };
+                assert!(w.replay(stg), "row {i}");
+                assert!(
+                    is_minimal_pair(prefix, &w.config1, &w.config2),
+                    "row {i}: C′ = ↓D ∖ D"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_csc_phases_share_one_step_budget() {
+        use stg::gen::random::{random_stg, RandomStgConfig};
+        // A net with USC conflicts but no CSC conflict: the first
+        // phase accepts none of its minimal pairs, and the second
+        // phase exhausts the whole chain.
+        let config = RandomStgConfig {
+            signals: 4,
+            sync_cycles: 2,
+            max_cycle_len: 3,
+            splits: 0,
+            ..RandomStgConfig::default()
+        };
+        let stg = (0..150)
+            .map(|seed| random_stg(&config, seed))
+            .find(|stg| {
+                let checker = Checker::new(stg).unwrap();
+                !checker.check_usc().unwrap().is_satisfied()
+                    && checker.check_csc().unwrap().is_satisfied()
+            })
+            .expect("a net whose CSC proof needs the second phase");
+        let full = Checker::new(&stg).unwrap();
+        assert!(full.check_csc().unwrap().is_satisfied());
+        let total = full.solver_steps();
+        let mut options = CheckerOptions::default();
+        options.solver.max_steps = total;
+        let exact = Checker::with_options(&stg, options).unwrap();
+        assert!(exact.check_csc().unwrap().is_satisfied());
+        options.solver.max_steps = total - 1;
+        let short = Checker::with_options(&stg, options).unwrap();
+        match short.check_csc() {
+            Err(CheckError::Solve(e)) => {
+                assert_eq!(e.cause, AbortCause::StepLimit(total - 1));
+                assert_eq!(e.stats.propagations, total);
+            }
+            other => panic!("expected a step-limit abort, got {other:?}"),
+        }
+        assert_eq!(short.solver_steps(), total);
     }
 
     #[test]

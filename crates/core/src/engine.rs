@@ -998,6 +998,7 @@ mod tests {
     use super::*;
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::dup_4ph;
+    use stg::gen::pipeline::muller_pipeline;
     use stg::gen::vme::{vme_read, vme_read_csc_resolved};
     use stg::StateGraph;
 
@@ -1257,8 +1258,9 @@ mod tests {
         use crate::limits::CancelToken;
         use std::time::Duration;
         // Big enough that no engine concludes before the flip lands,
-        // in debug or release builds.
-        let stg = counterflow_sym(10, 3);
+        // in debug or release builds: MULLER-18 takes every engine
+        // seconds, the unfolding engine's minimal-pair search included.
+        let stg = muller_pipeline(18);
         for engine in Engine::ALL {
             let token = CancelToken::new();
             let budget = Budget::unlimited().with_cancel(token.clone());

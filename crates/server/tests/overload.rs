@@ -139,7 +139,21 @@ fn backoff_retrying_client_eventually_succeeds_under_load() {
     }
 
     // The retry client contends with the burst and must still land.
+    // It submits only once `stgd` has read the whole burst, so its
+    // first attempt cannot take the queue slot ahead of the burst.
     let mut patient = Client::connect(server.addr()).expect("connect patient");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = patient.stats().expect("stats");
+        if counter(&stats, "jobs_received") + overload_counter(&stats, "queue_full") >= 8 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the burst was never read: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let response = patient
         .check_with_retry(
             "patient",
@@ -353,6 +367,12 @@ fn quotas_contain_a_hog_without_starving_others() {
 /// A client that dies mid-batch (dropped socket with jobs queued)
 /// must not wedge the pool or corrupt counters: the jobs still run,
 /// their responses are dropped, and the server keeps serving.
+///
+/// The order is made deterministic: the doomed client hangs up only
+/// once `stgd` has admitted all four jobs (so no request line is lost
+/// to a reset connection), and the first job, MULLER-16 under a
+/// 500 ms deadline, is still running then, so every response is still
+/// pending when the socket closes.
 #[test]
 fn a_vanishing_client_leaves_no_debris() {
     let server = spawn(ServerConfig {
@@ -361,23 +381,40 @@ fn a_vanishing_client_leaves_no_debris() {
     })
     .expect("bind");
     let g = vme_g();
-    {
-        let mut doomed = Client::connect(server.addr()).expect("connect doomed");
-        for i in 0..4 {
-            doomed
-                .submit(&CheckRequest {
-                    id: format!("d{i}"),
-                    stg_g: g.clone(),
-                    property: Property::Csc,
-                    engine: Some(Engine::UnfoldingIlp),
-                    budget: BudgetSpec::default(),
-                })
-                .expect("submit");
-        }
-        // Dropped here: the socket closes with all four jobs pending.
+    let slow = stg::to_g_format(&muller_pipeline(16), "m16");
+    let mut doomed = Client::connect(server.addr()).expect("connect doomed");
+    for i in 0..4 {
+        let (stg_g, budget) = if i == 0 {
+            let budget = BudgetSpec {
+                timeout_ms: Some(500),
+                ..Default::default()
+            };
+            (slow.clone(), budget)
+        } else {
+            (g.clone(), BudgetSpec::default())
+        };
+        doomed
+            .submit(&CheckRequest {
+                id: format!("d{i}"),
+                stg_g,
+                property: Property::Csc,
+                engine: Some(Engine::UnfoldingIlp),
+                budget,
+            })
+            .expect("submit");
     }
-    // Give the pool time to run the orphaned jobs.
     let mut client = Client::connect(server.addr()).expect("connect");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while counter(&client.stats().expect("stats"), "jobs_received") < 4 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the doomed client's jobs were never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The socket closes with all four jobs pending.
+    drop(doomed);
+    // Give the pool time to run the orphaned jobs.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let stats = client.stats().expect("stats");

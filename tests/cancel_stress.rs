@@ -15,6 +15,7 @@ use stg_coding_conflicts::csc_core::{
     Budget, CancelToken, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
 use stg_coding_conflicts::stg::gen::counterflow::{counterflow_asym, counterflow_sym};
+use stg_coding_conflicts::stg::gen::pipeline::muller_pipeline;
 use stg_coding_conflicts::stg::Stg;
 
 /// How long after the check starts the token is flipped.
@@ -26,8 +27,10 @@ const OBSERVE_WITHIN: Duration = Duration::from_secs(10);
 /// An input the given engine cannot decide in seconds.
 fn adversarial_input(engine: Engine) -> Stg {
     match engine {
-        // The absence proof explodes in IP solver propagations.
-        Engine::UnfoldingIlp => counterflow_asym(8, 2),
+        // The absence proof explodes in IP solver propagations: the
+        // MULLER family keeps an exponential search tree even over
+        // the §7 minimal pairs.
+        Engine::UnfoldingIlp => muller_pipeline(18),
         // Millions of reachable states.
         Engine::ExplicitStateGraph => counterflow_asym(8, 2),
         // Single BDD operations run for minutes on this input.
@@ -36,8 +39,8 @@ fn adversarial_input(engine: Engine) -> Stg {
         // minutes; cancellation is polled per pivot and per node.
         Engine::Cegar => counterflow_sym(4, 4),
         // All four racers must be slow, or one would win before the
-        // cancel fires.
-        Engine::Race => counterflow_asym(8, 2),
+        // cancel fires; MULLER-18 takes every engine seconds.
+        Engine::Race => muller_pipeline(18),
     }
 }
 
