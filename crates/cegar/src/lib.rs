@@ -137,7 +137,8 @@ pub struct CegarStats {
     pub cuts: u64,
     /// Branch-and-bound nodes expanded across all targets.
     pub branch_nodes: u64,
-    /// Exact LP solves performed.
+    /// Exact LP solves performed: the relaxation proofs' and those of
+    /// branch and bound.
     pub lp_solves: u64,
     /// Conflict targets encoded for the chosen property.
     pub targets: u64,
@@ -173,6 +174,7 @@ pub fn check(
 
     // Fast path: the PR 5 relaxation proof. USC proved ⇒ CSC proved.
     let proofs = relaxation_proofs(stg, true, &lp);
+    stats.lp_solves = proofs.lp_solves;
     if proofs.usc_proved {
         return (CegarOutcome::Proved, stats);
     }
@@ -405,6 +407,17 @@ ack- req+
             // The relaxation fast path closes it without branching.
             assert_eq!(stats.branch_nodes, 0);
         }
+    }
+
+    #[test]
+    fn relaxation_proofs_count_their_lp_solves() {
+        // CF-SYM-A-CSC of Table 1: the relaxation proves USC, so the
+        // proof ends before branch and bound, yet its LPs are counted.
+        let stg = stg::gen::counterflow::counterflow_sym(2, 3);
+        let (out, stats) = check(&stg, CegarProperty::Csc, &CegarOptions::default());
+        assert_eq!(out, CegarOutcome::Proved);
+        assert_eq!(stats.branch_nodes, 0);
+        assert!(stats.lp_solves >= 1, "{stats:?}");
     }
 
     #[test]

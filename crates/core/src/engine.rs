@@ -996,9 +996,9 @@ fn merge_report(aggregate: &mut ResourceReport, from: ResourceReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stg::gen::arbiter::mutex_arbiter;
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::dup_4ph;
-    use stg::gen::pipeline::muller_pipeline;
     use stg::gen::vme::{vme_read, vme_read_csc_resolved};
     use stg::StateGraph;
 
@@ -1258,9 +1258,10 @@ mod tests {
         use crate::limits::CancelToken;
         use std::time::Duration;
         // Big enough that no engine concludes before the flip lands,
-        // in debug or release builds: MULLER-18 takes every engine
-        // seconds, the unfolding engine's minimal-pair search included.
-        let stg = muller_pipeline(18);
+        // in debug or release builds: an 18-client arbiter takes every
+        // engine seconds (the unfolding engine's `LexLess` search 4 s
+        // in release), and each polls its guard from the start.
+        let stg = mutex_arbiter(18);
         for engine in Engine::ALL {
             let token = CancelToken::new();
             let budget = Budget::unlimited().with_cancel(token.clone());

@@ -26,7 +26,19 @@
 //! propagation that recomputes every bound from scratch, so
 //! [`SolverOptions::max_steps`] and [`SearchStats::propagations`]
 //! keep their meaning. Debug builds check the running bounds against
-//! [`LinExpr::bounds`] after every propagation. Problems range over one or more configuration
+//! [`LinExpr::bounds`] after every propagation.
+//!
+//! Branching is fail-first. The slot table also counts each slot's
+//! unassigned terms, and each decision branches inside the first
+//! `Linear` constraint with the fewest unassigned terms (at least
+//! one), on its unassigned variable that comes first in the static
+//! order of [`VarOrder`]. Once every `Linear` constraint is fully
+//! assigned, the static order decides alone. A row with few free terms
+//! is the one closest to forcing or failing, so deciding inside it
+//! ends a doomed branch early: on the conflict-free MULLER family the
+//! absence proof grows polynomially instead of exponentially.
+//!
+//! Problems range over one or more configuration
 //! vectors (`x'`, `x''`, …), and searches can run in *exhaustive
 //! enumeration* mode where a leaf callback accepts or rejects each
 //! total assignment — this is how the non-linear CSC and normalcy

@@ -21,7 +21,6 @@ pub struct Problem<'a> {
     constraints: Vec<Constraint>,
     fixed: Vec<(Var, bool)>,
     subset_chain: bool,
-    decision_order: Option<Vec<Var>>,
 }
 
 impl<'a> Problem<'a> {
@@ -38,7 +37,6 @@ impl<'a> Problem<'a> {
             constraints: Vec::new(),
             fixed: Vec::new(),
             subset_chain: false,
-            decision_order: None,
         }
     }
 
@@ -129,34 +127,19 @@ impl<'a> Problem<'a> {
         self.subset_chain
     }
 
-    /// Overrides the static decision order (by default variables are
-    /// decided in descending event order, which maximises the effect
-    /// of closure propagation).
-    pub fn set_decision_order(&mut self, order: Vec<Var>) {
-        self.decision_order = Some(order);
-    }
-
-    /// The explicitly-set decision order, if any.
-    pub(crate) fn explicit_decision_order(&self) -> Option<&[Var]> {
-        self.decision_order.as_deref()
-    }
-
+    /// The static decision order: descending event id, interleaving
+    /// the sides so paired decisions stay close. The solver's
+    /// fail-first rule breaks ties by it, and decides by it alone
+    /// once every `Linear` constraint is assigned.
     pub(crate) fn decision_order_or_default(&self) -> Vec<Var> {
-        match &self.decision_order {
-            Some(o) => o.clone(),
-            None => {
-                // Descending event id per side, interleaving sides so
-                // paired decisions stay close.
-                let n = self.relations.num_events();
-                let mut order = Vec::with_capacity(self.num_vars());
-                for e in (0..n).rev() {
-                    for s in 0..self.sides {
-                        order.push(Var((s * n + e) as u32));
-                    }
-                }
-                order
+        let n = self.relations.num_events();
+        let mut order = Vec::with_capacity(self.num_vars());
+        for e in (0..n).rev() {
+            for s in 0..self.sides {
+                order.push(Var((s * n + e) as u32));
             }
         }
+        order
     }
 
     pub(crate) fn constraints(&self) -> &[Constraint] {

@@ -7,7 +7,9 @@
 //! solver's partial assignment. Assigning or retracting a variable
 //! moves the bounds of the slots it occurs in, found through one CSR
 //! occurrence array, so a constraint wake reads its bounds in O(1)
-//! instead of recomputing them from the terms.
+//! instead of recomputing them from the terms. The same move keeps
+//! each slot's count of unassigned terms, which the solver's
+//! fail-first branching rule reads.
 
 use crate::constraint::{CmpOp, Constraint};
 use crate::expr::{LinExpr, Var};
@@ -48,6 +50,10 @@ pub(crate) struct SlotTable<'p> {
     init: Vec<(i64, i64)>,
     /// Bounds under the current partial assignment.
     bounds: Vec<(i64, i64)>,
+    /// Terms per slot.
+    init_free: Vec<u32>,
+    /// Unassigned terms per slot under the current partial assignment.
+    free: Vec<u32>,
     /// The constraint each slot belongs to.
     owner: Vec<u32>,
     /// `occ[occ_start[v]..occ_start[v + 1]]` are the `(slot, coeff)`
@@ -66,6 +72,7 @@ impl<'p> SlotTable<'p> {
     pub(crate) fn new(constraints: &'p [Constraint], num_vars: usize) -> Self {
         let mut rows = Vec::with_capacity(constraints.len());
         let mut init = Vec::new();
+        let mut init_free = Vec::new();
         let mut owner = Vec::new();
         let mut entries: Vec<(Var, u32, i32)> = Vec::new();
         let unassigned = |_: Var| None;
@@ -74,6 +81,7 @@ impl<'p> SlotTable<'p> {
             for expr in expressions(c) {
                 let slot = init.len() as u32;
                 init.push(expr.bounds(&unassigned));
+                init_free.push(expr.terms().len() as u32);
                 owner.push(ci as u32);
                 entries.extend(expr.terms().iter().map(|&(v, k)| (v, slot, k)));
             }
@@ -115,6 +123,8 @@ impl<'p> SlotTable<'p> {
             rows,
             bounds: init.clone(),
             init,
+            free: init_free.clone(),
+            init_free,
             owner,
             occ_start,
             occ,
@@ -124,14 +134,15 @@ impl<'p> SlotTable<'p> {
     /// Forgets every assignment.
     pub(crate) fn reset(&mut self) {
         self.bounds.copy_from_slice(&self.init);
+        self.free.copy_from_slice(&self.init_free);
         self.open_digit.fill(0);
     }
 
-    /// Moves the bounds of `v`'s slots for `v := value` (`sign = 1`)
-    /// or for retracting that assignment (`sign = -1`). An
-    /// unassigned term contributes `min(c, 0)` to `lo` and
-    /// `max(c, 0)` to `hi`; an assigned one contributes `c` or `0` to
-    /// both.
+    /// Moves the bounds and free-term counts of `v`'s slots for
+    /// `v := value` (`sign = 1`) or for retracting that assignment
+    /// (`sign = -1`). An unassigned term contributes `min(c, 0)` to
+    /// `lo` and `max(c, 0)` to `hi`; an assigned one contributes `c`
+    /// or `0` to both.
     fn shift(&mut self, v: Var, value: bool, sign: i64) {
         let i = v.index();
         let (from, to) = (self.occ_start[i] as usize, self.occ_start[i + 1] as usize);
@@ -145,6 +156,12 @@ impl<'p> SlotTable<'p> {
             let b = &mut self.bounds[slot as usize];
             b.0 += sign * dlo;
             b.1 += sign * dhi;
+            let free = &mut self.free[slot as usize];
+            if sign > 0 {
+                *free -= 1;
+            } else {
+                *free += 1;
+            }
         }
     }
 
@@ -156,6 +173,26 @@ impl<'p> SlotTable<'p> {
     /// Retracts `v := value`.
     pub(crate) fn retract(&mut self, v: Var, value: bool) {
         self.shift(v, value, -1);
+    }
+
+    /// The terms of the first `Linear` constraint with the fewest
+    /// unassigned terms, among those with at least one; `None` when
+    /// every `Linear` constraint is fully assigned.
+    pub(crate) fn fewest_free_linear(&self) -> Option<&'p [(Var, i32)]> {
+        let mut best: Option<(u32, &'p [(Var, i32)])> = None;
+        for row in &self.rows {
+            let Row::Linear { slot, terms, .. } = *row else {
+                continue;
+            };
+            let free = self.free[slot];
+            if free > 0 && best.is_none_or(|(fewest, _)| free < fewest) {
+                best = Some((free, terms));
+                if free == 1 {
+                    break;
+                }
+            }
+        }
+        best.map(|(_, terms)| terms)
     }
 
     /// Wakes every constraint `v` occurs in, in constraint order,
@@ -273,16 +310,24 @@ impl<'p> SlotTable<'p> {
         })
     }
 
-    /// Whether every slot's running bounds equal [`LinExpr::bounds`]
-    /// recomputed from `values` — the kernel's invariant, checked by
-    /// the solver in debug builds.
+    /// Whether every slot's running bounds and free-term count equal
+    /// [`LinExpr::bounds`] and the unassigned terms recounted from
+    /// `values` — the kernel's invariant, checked by the solver in
+    /// debug builds.
     pub(crate) fn matches(&self, values: &[Option<bool>]) -> bool {
         let value = |u: Var| values[u.index()];
         self.constraints
             .iter()
             .flat_map(expressions)
-            .zip(&self.bounds)
-            .all(|(expr, &b)| expr.bounds(&value) == b)
+            .zip(self.bounds.iter().zip(&self.free))
+            .all(|(expr, (&b, &free))| {
+                let recount = expr
+                    .terms()
+                    .iter()
+                    .filter(|&&(u, _)| value(u).is_none())
+                    .count();
+                expr.bounds(&value) == b && recount == free as usize
+            })
     }
 }
 
@@ -336,6 +381,8 @@ mod tests {
         }
     }
 
+    /// `matches` recomputes both the bounds and the free-term count of
+    /// every slot, so each step checks the counts against a recount.
     #[test]
     fn random_assign_unwind_sequences_keep_bounds_exact() {
         const N: usize = 8;
@@ -379,6 +426,40 @@ mod tests {
             table.reset();
             assert!(table.matches(&[None; N]));
         }
+    }
+
+    #[test]
+    fn fewest_free_linear_skips_lex_rows_and_assigned_terms() {
+        let constraints = [
+            linear(&[(0, 1), (1, 1), (2, 1)], 0, CmpOp::Le),
+            Constraint::LexLess {
+                lhs: vec![expr(&[(3, 1)], 0)],
+                rhs: vec![expr(&[(0, 1)], 0)],
+            },
+            linear(&[(1, 1), (3, -1)], 0, CmpOp::Ge),
+            linear(&[(2, 2), (3, 1)], 0, CmpOp::Eq),
+        ];
+        let mut table = SlotTable::new(&constraints, 4);
+        let terms = |t: Option<&[(Var, i32)]>| t.map(<[_]>::to_vec);
+        // Rows 2 and 3 tie at two free terms: the first wins.
+        assert_eq!(
+            terms(table.fewest_free_linear()),
+            Some(vec![(Var(1), 1), (Var(3), -1)])
+        );
+        let mut values = [None; 4];
+        assign_all(&mut table, &mut values, &[(2, true)]);
+        assert_eq!(
+            terms(table.fewest_free_linear()),
+            Some(vec![(Var(2), 2), (Var(3), 1)])
+        );
+        assign_all(
+            &mut table,
+            &mut values,
+            &[(0, false), (1, true), (3, false)],
+        );
+        assert_eq!(table.fewest_free_linear(), None);
+        table.reset();
+        assert!(table.matches(&[None; 4]));
     }
 
     #[test]

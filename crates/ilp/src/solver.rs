@@ -23,8 +23,11 @@ pub enum ValueOrder {
     ZeroFirst,
 }
 
-/// Static variable-selection heuristic (unless the problem supplies
-/// an explicit order).
+/// The static decision order. It is the tie-break of the solver's
+/// fail-first rule — each decision branches inside the `Linear`
+/// constraint with the fewest unassigned terms, on the term that
+/// comes first in this order — and it decides alone once every
+/// `Linear` constraint is fully assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarOrder {
     /// Decide late (causally deep) events first: assigning them pulls
@@ -46,7 +49,7 @@ pub struct SolverOptions {
     pub use_closure: bool,
     /// First value tried at each decision.
     pub value_order: ValueOrder,
-    /// Static decision order.
+    /// Static decision order: the fail-first rule's tie-break.
     pub var_order: VarOrder,
     /// Abort (with [`SearchStats::aborted`] set) after this many
     /// propagation steps.
@@ -147,7 +150,10 @@ pub struct Solver<'p, 'r> {
     queue: VecDeque<(Var, bool)>,
     slots: SlotTable<'p>,
     forced: Vec<(Var, bool)>,
+    /// The static decision order, the fail-first rule's tie-break.
     order: Vec<Var>,
+    /// `rank[v]`: the position of `v` in `order`.
+    rank: Vec<u32>,
     stats: SearchStats,
     guard: StopGuard,
 }
@@ -156,10 +162,12 @@ impl<'p, 'r> Solver<'p, 'r> {
     /// Prepares a solver for `problem`.
     pub fn new(problem: &'p Problem<'r>, options: SolverOptions) -> Self {
         let mut order = problem.decision_order_or_default();
-        if problem.explicit_decision_order().is_none()
-            && options.var_order == VarOrder::AscendingEvents
-        {
+        if options.var_order == VarOrder::AscendingEvents {
             order.reverse();
+        }
+        let mut rank = vec![0; order.len()];
+        for (pos, v) in order.iter().enumerate() {
+            rank[v.index()] = pos as u32;
         }
         Solver {
             problem,
@@ -173,6 +181,7 @@ impl<'p, 'r> Solver<'p, 'r> {
             slots: SlotTable::new(problem.constraints(), problem.num_vars()),
             forced: Vec::new(),
             order,
+            rank,
             stats: SearchStats::default(),
             guard: StopGuard::unlimited(),
         }
@@ -293,6 +302,26 @@ impl<'p, 'r> Solver<'p, 'r> {
         }
     }
 
+    /// The next decision variable and the static walk's position
+    /// after it (fail-first): the unassigned term earliest in the
+    /// static order of the first `Linear` constraint with the fewest
+    /// unassigned terms; failing that, the first unassigned variable
+    /// of the static order from `scan_from` on (every earlier one is
+    /// assigned). `None` under a total assignment.
+    fn next_decision(&self, scan_from: usize) -> Option<(Var, usize)> {
+        if let Some(terms) = self.slots.fewest_free_linear() {
+            let v = terms
+                .iter()
+                .map(|&(u, _)| u)
+                .filter(|u| self.values[u.index()].is_none())
+                .min_by_key(|u| self.rank[u.index()])?;
+            return Some((v, scan_from));
+        }
+        (scan_from..self.order.len())
+            .map(|pos| (self.order[pos], pos + 1))
+            .find(|(v, _)| self.values[v.index()].is_none())
+    }
+
     /// Runs the search. `on_leaf` is invoked for every constraint-
     /// satisfying total assignment; returning `true` accepts it (the
     /// solution is returned), `false` rejects it and the search
@@ -323,19 +352,8 @@ impl<'p, 'r> Solver<'p, 'r> {
             if self.stats.aborted {
                 return None;
             }
-            // Find the next unassigned decision variable.
-            let mut next = None;
-            let mut pos = scan_from;
-            while pos < self.order.len() {
-                let v = self.order[pos];
-                if self.values[v.index()].is_none() {
-                    next = Some((v, pos));
-                    break;
-                }
-                pos += 1;
-            }
-            match next {
-                Some((v, pos)) => {
+            match self.next_decision(scan_from) {
+                Some((v, next_scan)) => {
                     let first = matches!(self.options.value_order, ValueOrder::OneFirst);
                     decisions.push(Decision {
                         var: v,
@@ -344,7 +362,7 @@ impl<'p, 'r> Solver<'p, 'r> {
                         trail_len: self.trail.len(),
                         scan_from,
                     });
-                    scan_from = pos + 1;
+                    scan_from = next_scan;
                     self.stats.decisions += 1;
                     self.queue.push_back((v, first));
                 }
@@ -613,6 +631,60 @@ mod tests {
             backtracked += usize::from(stats.conflicts > 0);
         }
         assert!(backtracked > 0, "some searches must hit conflicts");
+    }
+
+    #[test]
+    fn fail_first_branches_inside_the_row_with_one_free_term() {
+        let (prefix, rel) = prefix();
+        let mut problem = Problem::new(&rel, 2);
+        let order = problem.decision_order_or_default();
+        let last = *order.last().expect("six variables");
+        // Every variable: six free terms.
+        let mut all = LinExpr::new();
+        for &v in &order {
+            all.push(v, 1);
+        }
+        all.add_constant(-6);
+        problem.add_linear(all, CmpOp::Le);
+        // Two free terms: x⁰(a) and x¹(c).
+        let pair = [
+            problem.var(0, event_named(&prefix, "a")),
+            problem.var(1, event_named(&prefix, "c")),
+        ];
+        let mut two = LinExpr::new();
+        pair.iter().for_each(|&v| two.push(v, 1));
+        problem.add_linear(two, CmpOp::Ge);
+        // One free term, on the variable the static order decides last.
+        let mut one = LinExpr::new();
+        one.push(last, 1);
+        problem.add_linear(one, CmpOp::Ge);
+
+        let mut solver = Solver::new(&problem, SolverOptions::default());
+        assert_ne!(order[0], last);
+        assert_eq!(solver.next_decision(0), Some((last, 0)));
+        // With that row assigned, the two-term row is the fewest-free
+        // one; its terms tie-break by the static order.
+        solver.values[last.index()] = Some(true);
+        solver.slots.assign(last, true);
+        let earliest = *pair
+            .iter()
+            .filter(|&&v| v != last)
+            .min_by_key(|v| order.iter().position(|u| u == *v))
+            .expect("a free term");
+        assert_eq!(solver.next_decision(0), Some((earliest, 0)));
+        // The search still enumerates every pair of configurations.
+        let (got, _) = solution_pairs(&problem, &prefix);
+        assert_eq!(got.len(), CONFIGS.len() * CONFIGS.len());
+    }
+
+    #[test]
+    fn without_free_linear_terms_the_static_order_decides() {
+        let (_prefix, rel) = prefix();
+        let problem = Problem::new(&rel, 2);
+        let order = problem.decision_order_or_default();
+        let solver = Solver::new(&problem, SolverOptions::default());
+        assert_eq!(solver.next_decision(0), Some((order[0], 1)));
+        assert_eq!(solver.next_decision(3), Some((order[3], 4)));
     }
 
     #[test]

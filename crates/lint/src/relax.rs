@@ -65,6 +65,8 @@ pub struct Proofs {
     /// missing proof may be a solver limit rather than a real
     /// near-violation.
     pub lp_abstained: bool,
+    /// LP feasibility solves the consistency and USC relaxations ran.
+    pub lp_solves: u64,
 }
 
 /// Computes all proofs. `lp` disables the LP relaxations (semiflow
@@ -202,6 +204,7 @@ fn consistency_lp(stg: &Stg, options: &LpOptions, proofs: &mut Proofs) {
                 // fall while v0 + bal ≤ 0
                 Edge::Fall => problem.add(&bal, CmpOp::Le, v0z),
             }
+            proofs.lp_solves += 1;
             match problem.feasibility(options) {
                 ilp::LpFeasibility::Infeasible => {}
                 ilp::LpFeasibility::Feasible => {
@@ -290,6 +293,7 @@ fn usc_lp(stg: &Stg, options: &LpOptions, proofs: &mut Proofs) {
             continue;
         }
         problem.add(&diff, CmpOp::Ge, -1);
+        proofs.lp_solves += 1;
         match problem.feasibility(options) {
             ilp::LpFeasibility::Infeasible => {}
             ilp::LpFeasibility::Feasible => {

@@ -65,8 +65,8 @@ fn fifty_job_mixed_batch_on_a_four_worker_pool() {
     let resolved = stg::to_g_format(&stg::gen::vme::vme_read_csc_resolved(), "vme-csc");
     let counterflow = stg::to_g_format(&stg::gen::counterflow::counterflow_sym(3, 2), "cf");
     // Big enough that no racer concludes within the starved job's
-    // deadline (even the fastest engine needs tens of milliseconds).
-    let heavy = stg::to_g_format(&stg::gen::pipeline::muller_pipeline(14), "m14");
+    // deadline (even the fastest engine needs a hundred milliseconds).
+    let heavy = stg::to_g_format(&stg::gen::arbiter::mutex_arbiter(14), "arbiter14");
 
     // 50 jobs: rotating conclusive models, plus one malformed input
     // and one budget-starved job mixed in.

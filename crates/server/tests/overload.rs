@@ -11,6 +11,7 @@ use csc_core::{Engine, Property};
 use server::json::Value;
 use server::protocol::{BudgetSpec, CheckRequest};
 use server::{spawn, Client, RetryPolicy, ServerConfig};
+use stg::gen::arbiter::mutex_arbiter;
 use stg::gen::pipeline::muller_pipeline;
 use stg::gen::vme::vme_read;
 
@@ -200,7 +201,7 @@ fn hung_job_watchdog_cancels_runaways() {
     // engine enumerates its whole state space); the engine polls the
     // cancel token, so the watchdog's cancellation surfaces as a
     // prompt `cancelled` verdict instead of an uninterruptible grind.
-    let runaway = stg::to_g_format(&muller_pipeline(12), "deep");
+    let runaway = stg::to_g_format(&muller_pipeline(20), "deep");
     let response = client
         .check(
             "runaway",
@@ -370,9 +371,9 @@ fn quotas_contain_a_hog_without_starving_others() {
 ///
 /// The order is made deterministic: the doomed client hangs up only
 /// once `stgd` has admitted all four jobs (so no request line is lost
-/// to a reset connection), and the first job, MULLER-16 under a
-/// 500 ms deadline, is still running then, so every response is still
-/// pending when the socket closes.
+/// to a reset connection), and the first job, a 16-client arbiter
+/// (0.7 s in release) under a 500 ms deadline, is still running then,
+/// so every response is still pending when the socket closes.
 #[test]
 fn a_vanishing_client_leaves_no_debris() {
     let server = spawn(ServerConfig {
@@ -381,7 +382,7 @@ fn a_vanishing_client_leaves_no_debris() {
     })
     .expect("bind");
     let g = vme_g();
-    let slow = stg::to_g_format(&muller_pipeline(16), "m16");
+    let slow = stg::to_g_format(&mutex_arbiter(16), "arbiter16");
     let mut doomed = Client::connect(server.addr()).expect("connect doomed");
     for i in 0..4 {
         let (stg_g, budget) = if i == 0 {

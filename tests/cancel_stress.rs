@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use stg_coding_conflicts::csc_core::{
     Budget, CancelToken, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
+use stg_coding_conflicts::stg::gen::arbiter::mutex_arbiter;
 use stg_coding_conflicts::stg::gen::counterflow::{counterflow_asym, counterflow_sym};
-use stg_coding_conflicts::stg::gen::pipeline::muller_pipeline;
 use stg_coding_conflicts::stg::Stg;
 
 /// How long after the check starts the token is flipped.
@@ -28,9 +28,9 @@ const OBSERVE_WITHIN: Duration = Duration::from_secs(10);
 fn adversarial_input(engine: Engine) -> Stg {
     match engine {
         // The absence proof explodes in IP solver propagations: the
-        // MULLER family keeps an exponential search tree even over
-        // the §7 minimal pairs.
-        Engine::UnfoldingIlp => muller_pipeline(18),
+        // arbiter family has dynamic conflicts, so its search runs
+        // under the lexicographic separation (4 s in release).
+        Engine::UnfoldingIlp => mutex_arbiter(18),
         // Millions of reachable states.
         Engine::ExplicitStateGraph => counterflow_asym(8, 2),
         // Single BDD operations run for minutes on this input.
@@ -39,8 +39,9 @@ fn adversarial_input(engine: Engine) -> Stg {
         // minutes; cancellation is polled per pivot and per node.
         Engine::Cegar => counterflow_sym(4, 4),
         // All four racers must be slow, or one would win before the
-        // cancel fires; MULLER-18 takes every engine seconds.
-        Engine::Race => muller_pipeline(18),
+        // cancel fires; the 18-client arbiter takes every engine
+        // seconds.
+        Engine::Race => mutex_arbiter(18),
     }
 }
 

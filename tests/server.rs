@@ -139,11 +139,11 @@ fn completion_order_is_not_submission_order() {
     .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    // The heavy check (unfolding-ILP on MULLER-12, about 30 ms in
-    // release and 1 s in debug) outlasts the light job's arrival,
-    // admission and 14-marking probe (3-6 ms end to end) by a wide
-    // margin even on a loaded machine.
-    let heavy = stg::to_g_format(&stg::gen::pipeline::muller_pipeline(12), "heavy");
+    // The heavy check (unfolding-ILP on a 12-client arbiter, about
+    // 30 ms in release) outlasts the light job's arrival, admission
+    // and 14-marking probe (3-6 ms end to end) by a wide margin even
+    // on a loaded machine.
+    let heavy = stg::to_g_format(&stg::gen::arbiter::mutex_arbiter(12), "heavy");
     let light = stg::to_g_format(&stg::gen::vme::vme_read(), "light");
     client
         .submit(&check_request("heavy", &heavy, BudgetSpec::default()))
