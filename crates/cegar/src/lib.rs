@@ -461,6 +461,26 @@ ack- req+
     }
 
     #[test]
+    fn pre_cancelled_guard_stops_the_semiflow_pass() {
+        // MULLER-100's Farkas elimination (401 places, 202 columns)
+        // takes seconds in a debug build; a cancel must not wait for it.
+        let stg = stg::gen::pipeline::muller_pipeline(100);
+        let flag = Arc::new(AtomicBool::new(true));
+        let options = CegarOptions {
+            guard: StopGuard::new(Some(flag), None),
+            ..CegarOptions::default()
+        };
+        let start = Instant::now();
+        let (out, _) = check(&stg, CegarProperty::Csc, &options);
+        let elapsed = start.elapsed();
+        assert_eq!(out, CegarOutcome::Unknown(CegarAbort::Cancelled));
+        assert!(
+            elapsed < Duration::from_millis(1000),
+            "cancel honoured after {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn expired_deadline_aborts_without_a_verdict() {
         let stg = stg::gen::vme::vme_read();
         let options = CegarOptions {

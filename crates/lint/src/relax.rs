@@ -36,8 +36,8 @@
 //!   left out.
 
 use ilp::{CmpOp, LpOptions, LpProblem};
-use petri::invariants::{p_semiflows, FarkasLimits};
-use petri::IncidenceMatrix;
+use petri::invariants::{p_semiflows_guarded, FarkasLimits};
+use petri::{IncidenceMatrix, StopGuard};
 use stg::{Edge, Label, Signal, Stg};
 
 /// Positive facts the lint pass managed to prove. All fields are
@@ -70,13 +70,15 @@ pub struct Proofs {
 }
 
 /// Computes all proofs. `lp` disables the LP relaxations (semiflow
-/// safeness still runs); useful when linting enormous nets.
+/// safeness still runs); useful when linting enormous nets. The
+/// semiflow pass polls `lp_options.guard` too: once it fires, the pass
+/// ends with no safeness proof.
 pub fn prove(stg: &Stg, lp: bool, lp_options: &LpOptions) -> Proofs {
     let mut proofs = Proofs {
         total_places: stg.net().num_places(),
         ..Proofs::default()
     };
-    semiflow_safeness(stg, &mut proofs);
+    semiflow_safeness(stg, &lp_options.guard, &mut proofs);
     if lp {
         consistency_lp(stg, lp_options, &mut proofs);
         usc_lp(stg, lp_options, &mut proofs);
@@ -88,9 +90,9 @@ pub fn prove(stg: &Stg, lp: bool, lp_options: &LpOptions) -> Proofs {
 /// loses no proof: every semiflow is a non-negative combination of
 /// them, so if each minimal `a` with `a(p) > 0` had `a·M0 ≥ 2·a(p)`,
 /// every `w` with `w(p) ≥ 1` would have `w·M0 ≥ 2`.
-fn semiflow_safeness(stg: &Stg, proofs: &mut Proofs) {
+fn semiflow_safeness(stg: &Stg, guard: &StopGuard, proofs: &mut Proofs) {
     let net = stg.net();
-    let Some(flows) = p_semiflows(net, FarkasLimits::default()) else {
+    let Some(flows) = p_semiflows_guarded(net, FarkasLimits::default(), guard) else {
         return;
     };
     let safe = safe_places(stg, &flows);

@@ -22,9 +22,10 @@
 //! functions return `None` when it outgrows the cap. They also return
 //! `None` when a weight overflows `i64`, which ordinary arcs can cause:
 //! a place that forks into two places joined again doubles its weight
-//! per stage.
+//! per stage. [`p_semiflows_guarded`] also returns `None` when its
+//! [`StopGuard`] fires, polled once per eliminated column.
 
-use crate::{Net, PlaceId, TransitionId};
+use crate::{Net, PlaceId, StopGuard, TransitionId};
 
 /// Limits for the Farkas iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,11 +124,13 @@ impl Matrix {
 /// Runs the minimal-support Farkas algorithm on `m`. Returns the
 /// minimal-support non-negative integer row combinations annihilating
 /// all columns (their weight parts), or `None` once a column's matrix
-/// outgrows `limits.max_rows` or an entry overflows `i64`.
-fn farkas(mut m: Matrix, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
+/// outgrows `limits.max_rows`, an entry overflows `i64` or `guard`
+/// fires before a column.
+fn farkas(mut m: Matrix, limits: FarkasLimits, guard: &StopGuard) -> Option<Vec<Vec<i64>>> {
     let mut union = vec![0u64; m.words];
     let (mut pos, mut neg) = (Vec::new(), Vec::new());
     for col in 0..m.num_cols {
+        guard.poll_now().ok()?;
         pos.clear();
         neg.clear();
         for i in 0..m.rows() {
@@ -223,12 +226,23 @@ fn farkas(mut m: Matrix, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
 /// # }
 /// ```
 pub fn p_semiflows(net: &Net, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
+    p_semiflows_guarded(net, limits, &StopGuard::unlimited())
+}
+
+/// Like [`p_semiflows`], but also returns `None` once `guard` fires;
+/// it is polled before each eliminated column, so a cancellation or a
+/// deadline interrupts a long elimination between columns.
+pub fn p_semiflows_guarded(
+    net: &Net,
+    limits: FarkasLimits,
+    guard: &StopGuard,
+) -> Option<Vec<Vec<i64>>> {
     let (np, nt) = (net.num_places(), net.num_transitions());
     let inc = crate::IncidenceMatrix::of(net);
     let m = Matrix::units(np, nt, |p, t| {
         inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64
     });
-    farkas(m, limits)
+    farkas(m, limits, guard)
 }
 
 /// Computes the minimal-support T-semiflows of `net` (firing counts
@@ -241,7 +255,7 @@ pub fn t_semiflows(net: &Net, limits: FarkasLimits) -> Option<Vec<Vec<i64>>> {
     let m = Matrix::units(nt, np, |t, p| {
         inc.entry(PlaceId::new(p), TransitionId::new(t)) as i64
     });
-    farkas(m, limits)
+    farkas(m, limits, &StopGuard::unlimited())
 }
 
 /// Checks that `weights` is a P-invariant: `Σ w(p)·I[p][t] = 0` for

@@ -9,10 +9,11 @@
 //! queue breaks key ties by insertion order, so the same net system
 //! always yields the same events in the same order.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use petri::{BitSet, Marking, Net, PlaceId, StopGuard, StopReason, TransitionId};
 use stg::Stg;
@@ -130,12 +131,15 @@ impl fmt::Display for UnfoldError {
 impl Error for UnfoldError {}
 
 /// A possible extension: a transition plus a co-set of conditions
-/// matching its preset. `seq` is its position in discovery order,
-/// assigned when it is queued.
+/// matching its preset, with the key, history and depth computed at
+/// discovery and carried to the commit. `seq` is its position in
+/// discovery order, assigned when it is queued.
 struct Pe {
     key: OrderKey,
     transition: TransitionId,
     preset: Vec<CondId>,
+    /// `[e] \ {e}` as an event bit set.
+    history: BitSet,
     depth: u32,
     seq: u64,
 }
@@ -168,10 +172,27 @@ impl PartialOrd for Pe {
     }
 }
 
+/// Buffers reused across events, so discovery and the marking
+/// equation allocate only what they hand on.
+#[derive(Default)]
+struct Scratch {
+    /// Token counts of the marking equation, per place.
+    tokens: Vec<i32>,
+    /// Extensions found by one [`Builder::discover`] call.
+    found: Vec<Pe>,
+    /// Candidate conditions of every slot, back to back.
+    cands: Vec<CondId>,
+    /// One slot per preset place: its range of `cands`.
+    slots: Vec<Range<usize>>,
+    /// The co-set under construction in [`Builder::search_cosets`].
+    chosen: Vec<CondId>,
+}
+
 /// The prefix under construction together with the queue of possible
 /// extensions and the cut-off table.
 struct Builder<'a> {
     net: &'a Net,
+    m0: &'a Marking,
     options: UnfoldOptions,
     conds: Vec<CondData>,
     events: Vec<EventData>,
@@ -182,17 +203,30 @@ struct Builder<'a> {
     /// Extendable conditions per original place.
     place_conds: Vec<Vec<CondId>>,
     queue: BinaryHeap<Pe>,
-    /// `Mark([e]) → (key, mate)` entries for the cut-off test.
-    mark_table: HashMap<Marking, Vec<(OrderKey, CutoffMate)>>,
+    /// `Mark([e]) → mates` for the cut-off test, in entry order. A
+    /// mate's key is the empty key or its event's key.
+    mark_table: HashMap<Marking, Vec<CutoffMate>>,
+    /// The key of the empty configuration, the mate [`CutoffMate::Initial`].
+    empty_key: OrderKey,
     num_cutoffs: usize,
     seq: u64,
     stats: UnfoldStats,
+    scratch: Scratch,
 }
 
 impl<'a> Builder<'a> {
-    fn new(net: &'a Net, options: UnfoldOptions) -> Self {
+    fn new(net: &'a Net, m0: &'a Marking, options: UnfoldOptions) -> Self {
+        let empty_key = OrderKey {
+            size: 0,
+            parikh: match options.order {
+                OrderStrategy::McMillan => Vec::new(),
+                OrderStrategy::ErvTotal => vec![0u16; net.num_transitions()],
+            },
+            foata: Vec::new(),
+        };
         Builder {
             net,
+            m0,
             options,
             conds: Vec::new(),
             events: Vec::new(),
@@ -202,9 +236,11 @@ impl<'a> Builder<'a> {
             place_conds: vec![Vec::new(); net.num_places()],
             queue: BinaryHeap::new(),
             mark_table: HashMap::new(),
+            empty_key,
             num_cutoffs: 0,
             seq: 0,
             stats: UnfoldStats::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -231,51 +267,69 @@ impl<'a> Builder<'a> {
             from_cutoff,
         });
         self.ensure_co_capacity();
-        self.co.push(BitSet::new(self.co_capacity));
+        // Replaced when the condition is integrated; the postset of a
+        // cut-off never is, and no co-set is read before.
+        self.co.push(BitSet::new(0));
         id
     }
 
     /// The key of the local configuration a new event `(t, preset)`
     /// would have, together with its depth and history bit set
-    /// (excluding the event itself).
+    /// (excluding the event itself). The history is the union of the
+    /// preset producers' local configurations: the key starts from the
+    /// key of the largest of them and counts only the events the
+    /// others add.
     fn extension_key(&self, t: TransitionId, preset: &[CondId]) -> (OrderKey, u32, BitSet) {
-        let mut history = BitSet::new(self.events.len().max(1));
-        let mut depth = 0u32;
-        for &b in preset {
-            if let Some(p) = self.conds[b.index()].producer {
-                let local = &self.events[p.index()].local;
-                if local.capacity() > history.capacity() {
-                    history.grow(local.capacity());
-                    history.union_with(local);
-                } else {
-                    let mut grown = local.clone();
-                    grown.grow(history.capacity());
-                    history.union_with(&grown);
-                }
-                depth = depth.max(self.events[p.index()].depth);
+        let capacity = self.events.len().max(1);
+        let producers = preset.iter().filter_map(|b| self.conds[b.index()].producer);
+        let depth = 1 + producers
+            .clone()
+            .map(|p| self.events[p.index()].depth)
+            .max()
+            .unwrap_or(0);
+        let base = producers
+            .clone()
+            .max_by_key(|p| (self.events[p.index()].size, Reverse(*p)))
+            .map(|p| &self.events[p.index()]);
+        let erv = self.options.order == OrderStrategy::ErvTotal;
+        let nt = self.net.num_transitions();
+        let (mut history, mut parikh, mut foata) = match base {
+            Some(data) => {
+                let mut history = data.local.clone();
+                history.grow(capacity);
+                (history, data.key.parikh.clone(), data.key.foata.clone())
             }
-        }
-        let depth = depth + 1;
-        let size = history.len() as u32 + 1;
-        let (parikh, foata) = match self.options.order {
-            OrderStrategy::McMillan => (Vec::new(), Vec::new()),
-            OrderStrategy::ErvTotal => {
-                let nt = self.net.num_transitions();
-                let mut parikh = vec![0u16; nt];
-                let mut levels: Vec<Vec<u16>> = vec![vec![0u16; nt]; depth as usize];
-                for e in history.iter() {
-                    let data = &self.events[e];
-                    parikh[data.transition.index()] += 1;
-                    levels[(data.depth - 1) as usize][data.transition.index()] += 1;
-                }
-                parikh[t.index()] += 1;
-                levels[(depth - 1) as usize][t.index()] += 1;
-                (parikh, levels)
-            }
+            None => (
+                BitSet::new(capacity),
+                self.empty_key.parikh.clone(),
+                Vec::new(),
+            ),
         };
+        if erv {
+            foata.resize(depth as usize, vec![0u16; nt]);
+        }
+        for p in producers {
+            if history.contains(p.index()) {
+                continue;
+            }
+            let mut local = self.events[p.index()].local.clone();
+            local.grow(capacity);
+            if erv {
+                for f in local.iter_difference(&history) {
+                    let data = &self.events[f];
+                    parikh[data.transition.index()] += 1;
+                    foata[(data.depth - 1) as usize][data.transition.index()] += 1;
+                }
+            }
+            history.union_with(&local);
+        }
+        if erv {
+            parikh[t.index()] += 1;
+            foata[(depth - 1) as usize][t.index()] += 1;
+        }
         (
             OrderKey {
-                size,
+                size: history.len() as u32 + 1,
                 parikh,
                 foata,
             },
@@ -284,29 +338,45 @@ impl<'a> Builder<'a> {
         )
     }
 
-    /// The marking `Mark([e])` for a new event `(t, preset)` whose
-    /// history (local configuration minus the event) is given.
-    fn extension_marking(&self, t: TransitionId, preset: &[CondId], history: &BitSet) -> Marking {
-        let mut m = Marking::empty(self.net.num_places());
-        // Cut of the history...
-        for (i, cond) in self.conds.iter().enumerate() {
-            let produced = match cond.producer {
-                None => true,
-                Some(p) => history.contains(p.index()),
-            };
-            if !produced {
-                continue;
+    /// `Mark([e])` for a possible extension `e`, by the marking
+    /// equation `M0 + N·#[e]`: exact for the configurations of a safe
+    /// net's unfolding. The ERV key carries the Parikh vector `#[e]`;
+    /// under McMillan's order the history is counted instead.
+    fn extension_marking(&mut self, pe: &Pe) -> Marking {
+        let net = self.net;
+        let tokens = &mut self.scratch.tokens;
+        tokens.clear();
+        tokens.extend(self.m0.as_slice().iter().map(|&k| k as i32));
+        let mut fire = |u: TransitionId, k: i32| {
+            for &p in net.preset(u) {
+                tokens[p.index()] -= k;
             }
-            let consumed = cond.consumers.iter().any(|e| history.contains(e.index()));
-            if !consumed && !preset.contains(&CondId::from_index(i)) {
-                m.add_token(cond.place);
+            for &p in net.postset(u) {
+                tokens[p.index()] += k;
+            }
+        };
+        match self.options.order {
+            OrderStrategy::ErvTotal => {
+                for (u, &k) in pe.key.parikh.iter().enumerate() {
+                    if k > 0 {
+                        fire(TransitionId::new(u), i32::from(k));
+                    }
+                }
+            }
+            OrderStrategy::McMillan => {
+                for f in pe.history.iter() {
+                    fire(self.events[f].transition, 1);
+                }
+                fire(pe.transition, 1);
             }
         }
-        // ...plus the postset of t.
-        for &p in self.net.postset(t) {
-            m.add_token(p);
+        let mut marking = Marking::empty(net.num_places());
+        for (p, &k) in tokens.iter().enumerate() {
+            for _ in 0..k {
+                marking.add_token(PlaceId::new(p));
+            }
         }
-        m
+        marking
     }
 
     /// Queues the possible extensions in which `b` participates as
@@ -314,162 +384,159 @@ impl<'a> Builder<'a> {
     /// discovery order: transitions in `place_postset` order, co-sets
     /// in DFS order over size-sorted candidate slots.
     fn discover(&mut self, b: CondId) {
-        let mut found = Vec::new();
+        let Scratch {
+            mut found,
+            mut cands,
+            mut slots,
+            mut chosen,
+            tokens,
+        } = std::mem::take(&mut self.scratch);
         let place = self.conds[b.index()].place;
+        let co_b = &self.co[b.index()];
         for &t in self.net.place_postset(place) {
-            let preset_places = self.net.preset(t);
             // Candidate conditions per preset place other than `place`.
-            let mut slots: Vec<(PlaceId, Vec<CondId>)> = Vec::new();
-            let mut feasible = true;
-            for &q in preset_places {
-                if q == place {
-                    continue;
-                }
-                let cands: Vec<CondId> = self.place_conds[q.index()]
-                    .iter()
-                    .copied()
-                    .filter(|&c| c < b && self.co[b.index()].contains(c.index()))
-                    .collect();
-                if cands.is_empty() {
-                    feasible = false;
-                    break;
-                }
-                slots.push((q, cands));
-            }
+            cands.clear();
+            slots.clear();
+            let feasible = self
+                .net
+                .preset(t)
+                .iter()
+                .filter(|&&q| q != place)
+                .all(|&q| {
+                    let start = cands.len();
+                    cands.extend(
+                        self.place_conds[q.index()]
+                            .iter()
+                            .copied()
+                            .filter(|&c| c < b && co_b.contains(c.index())),
+                    );
+                    slots.push(start..cands.len());
+                    cands.len() > start
+                });
             if !feasible {
                 continue;
             }
-            slots.sort_by_key(|(_, cands)| cands.len());
-            let mut chosen: Vec<CondId> = Vec::with_capacity(slots.len());
-            self.search_cosets(t, b, &slots, &mut chosen, &mut found);
+            slots.sort_by_key(|slot| slot.len());
+            self.search_cosets(t, b, &cands, &slots, &mut chosen, &mut found);
         }
-        for mut pe in found {
+        for mut pe in found.drain(..) {
             self.seq += 1;
             self.stats.pe_discovered += 1;
             pe.seq = self.seq;
             self.queue.push(pe);
         }
+        self.scratch = Scratch {
+            tokens,
+            found,
+            cands,
+            slots,
+            chosen,
+        };
     }
 
     fn search_cosets(
         &self,
         t: TransitionId,
         b: CondId,
-        slots: &[(PlaceId, Vec<CondId>)],
+        cands: &[CondId],
+        slots: &[Range<usize>],
         chosen: &mut Vec<CondId>,
         out: &mut Vec<Pe>,
     ) {
-        if chosen.len() == slots.len() {
-            let mut preset: Vec<CondId> = chosen.clone();
+        let Some(slot) = slots.get(chosen.len()) else {
+            let mut preset: Vec<CondId> = Vec::with_capacity(chosen.len() + 1);
+            preset.extend_from_slice(chosen);
             preset.push(b);
             preset.sort_unstable();
-            let (key, depth, _history) = self.extension_key(t, &preset);
+            let (key, depth, history) = self.extension_key(t, &preset);
             out.push(Pe {
                 key,
                 transition: t,
                 preset,
+                history,
                 depth,
                 seq: 0,
             });
             return;
-        }
-        let (_, cands) = &slots[chosen.len()];
-        for &c in cands {
+        };
+        for &c in &cands[slot.clone()] {
             if chosen
                 .iter()
                 .all(|&d| self.co[c.index()].contains(d.index()))
             {
                 chosen.push(c);
-                self.search_cosets(t, b, slots, chosen, out);
+                self.search_cosets(t, b, cands, slots, chosen, out);
                 chosen.pop();
             }
         }
     }
 
-    /// Integrates a freshly created extendable condition: computes
-    /// its concurrency set, checks safety, and registers it for
+    /// `⋂ co(•e) \ •e` for an event with the given preset: the
+    /// conditions concurrent with every condition `e` produces. The
+    /// co-set of every integrated condition has `co_capacity` bits, so
+    /// the intersection runs in place on one copy.
+    fn preset_co(&self, preset: &[CondId]) -> BitSet {
+        let mut s = match preset.split_first() {
+            Some((first, rest)) => {
+                let mut s = self.co[first.index()].clone();
+                for c in rest {
+                    s.intersect_with(&self.co[c.index()]);
+                }
+                s
+            }
+            None => BitSet::new(self.co_capacity),
+        };
+        for c in preset {
+            s.remove(c.index());
+        }
+        s
+    }
+
+    /// Integrates freshly created extendable conditions, concurrent
+    /// with each other and with every condition of `base`: computes
+    /// their concurrency sets, checks safety, and registers them for
     /// discovery. Discovery runs once every sibling is integrated —
     /// candidates are filtered by `c < b`, so sibling registration
     /// order cannot change any condition's extension set.
-    ///
-    /// `siblings` are the other postset conditions of the same event.
-    fn integrate_condition(
-        &mut self,
-        b: CondId,
-        producer: Option<EventId>,
-        siblings: &[CondId],
-    ) -> Result<(), UnfoldError> {
-        let mut co_set = match producer {
-            None => {
-                // Minimal condition: concurrent with the other minimal
-                // conditions added so far.
-                let mut s = BitSet::new(self.co_capacity);
-                for &m in &self.min_conds {
-                    if m != b {
-                        s.insert(m.index());
-                    }
+    fn integrate_conditions(&mut self, new: &[CondId], base: &BitSet) -> Result<(), UnfoldError> {
+        for &b in new {
+            let mut co_set = base.clone();
+            for &sib in new {
+                if sib != b {
+                    co_set.insert(sib.index());
                 }
-                s
             }
-            Some(e) => {
-                // co(b) = ⋂ co(•e) \ •e, plus the siblings.
-                let preset = self.events[e.index()].preset.clone();
-                let mut s: Option<BitSet> = None;
-                for &c in &preset {
-                    let mut cs = self.co[c.index()].clone();
-                    cs.grow(self.co_capacity);
-                    match &mut s {
-                        None => s = Some(cs),
-                        Some(acc) => acc.intersect_with(&cs),
-                    }
-                }
-                let mut s = s.unwrap_or_else(|| BitSet::new(self.co_capacity));
-                for &c in &preset {
-                    s.remove(c.index());
-                }
-                s
-            }
-        };
-        for &sib in siblings {
-            if sib != b {
-                co_set.insert(sib.index());
-            }
-        }
-        // Safety check: a concurrent condition with the same place
-        // means two simultaneous tokens on that place.
-        let place = self.conds[b.index()].place;
-        for c in co_set.iter() {
-            if self.conds[c].place == place {
+            // Safety check: a concurrent condition with the same place
+            // means two simultaneous tokens on that place. A co-set
+            // holds only integrated conditions and siblings, so those
+            // of the place are the only ones to look at.
+            let place = self.conds[b.index()].place;
+            let clash = self.place_conds[place.index()]
+                .iter()
+                .any(|c| co_set.contains(c.index()))
+                || new
+                    .iter()
+                    .any(|&sib| sib != b && self.conds[sib.index()].place == place);
+            if clash {
                 return Err(UnfoldError::UnsafeNet { place });
             }
+            // Symmetrise; each sibling's own co-set already holds `b`.
+            for c in base.iter() {
+                self.co[c].insert(b.index());
+            }
+            self.co[b.index()] = co_set;
+            self.place_conds[place.index()].push(b);
         }
-        // Symmetrise.
-        for c in co_set.iter() {
-            self.co[c].insert(b.index());
-        }
-        self.co[b.index()] = co_set;
-        self.place_conds[place.index()].push(b);
         Ok(())
     }
 
-    fn run(&mut self, m0: &Marking, guard: &StopGuard) -> Result<(), UnfoldError> {
+    fn run(&mut self, guard: &StopGuard) -> Result<(), UnfoldError> {
         // Seed the cut-off table with the empty configuration.
-        let empty_key = match self.options.order {
-            OrderStrategy::McMillan => OrderKey {
-                size: 0,
-                parikh: Vec::new(),
-                foata: Vec::new(),
-            },
-            OrderStrategy::ErvTotal => OrderKey {
-                size: 0,
-                parikh: vec![0u16; self.net.num_transitions()],
-                foata: Vec::new(),
-            },
-        };
         self.mark_table
-            .insert(m0.clone(), vec![(empty_key, CutoffMate::Initial)]);
+            .insert(self.m0.clone(), vec![CutoffMate::Initial]);
 
         // Minimal conditions, one per token.
+        let m0 = self.m0;
         for p in m0.marked_places() {
             if m0.tokens(p) > 1 {
                 return Err(UnfoldError::UnsafeNet { place: p });
@@ -478,9 +545,7 @@ impl<'a> Builder<'a> {
             self.min_conds.push(b);
         }
         let mins = self.min_conds.clone();
-        for &b in &mins {
-            self.integrate_condition(b, None, &[])?;
-        }
+        self.integrate_conditions(&mins, &BitSet::new(self.co_capacity))?;
         for &b in &mins {
             self.discover(b);
         }
@@ -495,46 +560,54 @@ impl<'a> Builder<'a> {
             if self.events.len() >= self.options.max_events {
                 return Err(UnfoldError::TooManyEvents(self.options.max_events));
             }
+            let marking = self.extension_marking(&pe);
             let Pe {
                 key,
                 transition,
                 preset,
+                history,
                 depth,
                 ..
             } = pe;
-            let (_, _, history) = self.extension_key(transition, &preset);
-            let marking = self.extension_marking(transition, &preset, &history);
-
-            let mate = self.mark_table.get(&marking).and_then(|entries| {
-                entries
-                    .iter()
-                    .find(|(k, _)| k.is_strictly_less(&key, self.options.order))
-                    .map(|&(_, mate)| mate)
-            });
-
             let id = EventId::from_index(self.events.len());
+            // The cut-off test; a non-cut-off event enters the table.
+            let mates = self.mark_table.entry(marking).or_default();
+            let mate = mates.iter().copied().find(|&mate| {
+                let mate_key = match mate {
+                    CutoffMate::Initial => &self.empty_key,
+                    CutoffMate::Event(f) => &self.events[f.index()].key,
+                };
+                mate_key.is_strictly_less(&key, self.options.order)
+            });
+            if mate.is_none() {
+                mates.push(CutoffMate::Event(id));
+            }
             let mut local = history;
             local.grow(id.index() + 1);
             local.insert(id.index());
-            let size = local.len() as u32;
             for &b in &preset {
                 self.conds[b.index()].consumers.push(id);
             }
             let is_cutoff = mate.is_some();
             let net = self.net;
+            let first = self.conds.len();
             let postset: Vec<CondId> = net
                 .postset(transition)
                 .iter()
                 .map(|&p| self.new_condition(p, Some(id), is_cutoff))
                 .collect();
+            if !is_cutoff {
+                let base = self.preset_co(&preset);
+                self.integrate_conditions(&postset, &base)?;
+            }
             self.events.push(EventData {
                 transition,
                 preset,
-                postset: postset.clone(),
+                postset,
                 cutoff: mate,
-                key: key.clone(),
+                size: key.size,
+                key,
                 local,
-                size,
                 depth,
             });
             self.stats.pe_commits += 1;
@@ -543,15 +616,8 @@ impl<'a> Builder<'a> {
                 self.num_cutoffs += 1;
                 continue;
             }
-            for &b in &postset {
-                self.integrate_condition(b, Some(id), &postset)?;
-            }
-            self.mark_table
-                .entry(marking)
-                .or_default()
-                .push((key, CutoffMate::Event(id)));
-            for &b in &postset {
-                self.discover(b);
+            for b in first..self.conds.len() {
+                self.discover(CondId::from_index(b));
             }
         }
         Ok(())
@@ -581,8 +647,8 @@ fn unfold_with(
     options: UnfoldOptions,
     guard: &StopGuard,
 ) -> Result<Prefix, UnfoldError> {
-    let mut builder = Builder::new(net, options);
-    builder.run(m0, guard)?;
+    let mut builder = Builder::new(net, m0, options);
+    builder.run(guard)?;
     Ok(builder.finish())
 }
 

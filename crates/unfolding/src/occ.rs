@@ -231,9 +231,8 @@ impl Prefix {
     }
 
     /// Counters recorded while this prefix was built: possible
-    /// extensions discovered and committed, the discovery worker
-    /// count, and the wall-clock split between the parallelisable
-    /// discovery phase and the sequential commit loop.
+    /// extensions discovered (`pe_discovered`) and committed
+    /// (`pe_commits`).
     pub fn unfold_stats(&self) -> UnfoldStats {
         self.stats
     }
