@@ -6,7 +6,7 @@
 //! ground-truth oracle), by the BDD-based symbolic baseline (the
 //! Petrify-style comparator of Table 1), by CEGAR over the state
 //! equation, or by [`Engine::Race`], an ordered schedule that ends in a
-//! concurrent race.
+//! race of the paper's engine against explicit enumeration.
 //!
 //! # The check's stages
 //!
@@ -18,8 +18,9 @@
 //!    constant caps (4096 prefix events, 10⁶ solver steps, each lowered
 //!    to the request's own budget when that is tighter), opened by an
 //!    explicit probe capped at 16 markings;
-//! 3. the engine; for `Race`, the four-way race, only when stage 2
-//!    abstained.
+//! 3. the engine; for `Race`, only when stage 2 abstained, the
+//!    [`RACERS`] on two threads: the paper's engine uncapped against
+//!    explicit enumeration capped at 2¹⁸ markings.
 //!
 //! The probe exists because a prefix and an integer program have a
 //! set-up cost of their own: on a net with a dozen markings,
@@ -27,14 +28,14 @@
 //! It gives up at the cap, after about 20 µs, so every larger net is
 //! still answered by the paper's engine.
 //!
-//! The marking-equation LP relaxation runs in a check only as the first
-//! step of the CEGAR engine (`cegar::check`): once, alongside the other
-//! racers under `Race`, or alone when [`Engine::Cegar`] is named. Its
-//! exact-rational simplex costs milliseconds to seconds on the Table 1
-//! rows, where stage 2 answers every row in about a millisecond, so on
-//! a net past stage 2's caps it races the uncapped engines instead of
-//! holding them up. A truncated stage-2 prefix is never cached, so the
-//! race's unfolding racer still runs uncapped.
+//! On every net past stage 2's caps measured so far (EXPERIMENTS.md,
+//! "Two racers"), the race was won by the paper's engine or by
+//! explicit enumeration. The symbolic and CEGAR engines never finished
+//! first, so they run only when a client names them:
+//! [`Engine::SymbolicBdd`] is Table 1's Petrify-style comparator, and
+//! [`Engine::Cegar`] runs the marking-equation LP relaxation as its
+//! first step (`cegar::check`). A truncated stage-2 prefix is never
+//! cached, so the race's unfolding racer still runs uncapped.
 //!
 //! Every stage that runs and abstains folds its counters into the one
 //! [`ResourceReport`] the check returns; the first stage that answers
@@ -76,14 +77,15 @@ pub enum Engine {
     ExplicitStateGraph,
     /// Symbolic BDD traversal computing all conflicts.
     SymbolicBdd,
-    /// Ordered schedule ending in a race of the base engines (see
-    /// the module docs): the structure fast path, then unfolding + ILP
-    /// under small constant caps (after an explicit probe that answers
-    /// nets of at most 16 markings), and only then the four base
-    /// engines on separate threads; the first conclusive racer wins
-    /// and the losers are cancelled. Every stage shares one
-    /// absolute deadline, and [`ResourceReport::winner`] names the
-    /// stage or racer that answered.
+    /// Ordered schedule ending in a two-engine race (see the module
+    /// docs): the structure fast path, then unfolding + ILP under
+    /// small constant caps (after an explicit probe that answers nets
+    /// of at most 16 markings), and only then the [`RACERS`],
+    /// unfolding + ILP and explicit enumeration, on separate threads;
+    /// the first conclusive racer wins and the loser is cancelled.
+    /// Every stage shares one absolute deadline, and
+    /// [`ResourceReport::winner`] names the stage or racer that
+    /// answered.
     Race,
     /// CEGAR over the Petri-net state equation: integer programming
     /// with realisability refinement, no unfolding prefix, no BDDs.
@@ -143,7 +145,7 @@ const SCHEDULE_SMALL_STATES: usize = 16;
 
 /// State cap of the explicit racer of [`Engine::Race`] when the budget
 /// does not set one — keeps an uncapped race from degrading into an
-/// unbounded enumeration while the other racers are still working.
+/// unbounded enumeration while the unfolding racer is still working.
 const RACE_EXPLICIT_STATES: usize = 1 << 18;
 
 /// One property check, assembled with a builder and dispatched by
@@ -244,9 +246,9 @@ impl<'a> CheckRequest<'a> {
 
     /// Does nothing. A check no longer runs the lint LP as a stage of
     /// its own: the LP relaxation runs only as the first step of the
-    /// CEGAR engine, which `Race` starts as one of its racers. The
-    /// method stays for callers written against the old stage and will
-    /// be removed.
+    /// CEGAR engine, when a client names [`Engine::Cegar`]; `Race`
+    /// does not start it. The method stays for callers written against
+    /// the old stage and will be removed.
     pub fn prelint(self, _enabled: bool) -> Self {
         self
     }
@@ -808,39 +810,18 @@ fn run_cegar(
     Ok((verdict, report))
 }
 
-/// The four engines a [`Engine::Race`] runs concurrently.
-const RACERS: [Engine; 4] = [
-    Engine::UnfoldingIlp,
-    Engine::ExplicitStateGraph,
-    Engine::SymbolicBdd,
-    Engine::Cegar,
-];
+/// The engines a [`Engine::Race`] runs concurrently once stage 2
+/// abstains, in the order the service's per-racer stats list them.
+pub const RACERS: [Engine; 2] = [Engine::UnfoldingIlp, Engine::ExplicitStateGraph];
 
 /// Derives the guard one racing engine polls: the job-level
 /// cancellation flag and the *already anchored* absolute deadline of
-/// `base`, plus a private loser flag the race supervisor raises when
-/// another engine wins. Crucially the deadline is copied, not
-/// re-anchored — every racer shares the single wall clock
-/// [`CheckRequest::run`] started.
+/// `base`, plus the race's `decided` flag, which the race supervisor
+/// raises when a racer wins, retiring the loser. Crucially the
+/// deadline is copied, not re-anchored — every racer shares the single
+/// wall clock [`CheckRequest::run`] started.
 fn derive_race_guard(base: &StopGuard, loser: Arc<AtomicBool>) -> StopGuard {
     StopGuard::new(base.cancel_flag(), base.deadline()).with_extra_cancel(loser)
-}
-
-/// Compile-time audit that the types crossing the race's thread
-/// boundary are sendable, and that one artifact set may be shared by
-/// reference across the racing threads.
-#[allow(dead_code)]
-fn assert_race_send_bounds() {
-    fn send<T: Send>() {}
-    fn sync<T: Sync>() {}
-    sync::<Stg>();
-    sync::<Artifacts>();
-    send::<Budget>();
-    send::<StopGuard>();
-    send::<Verdict>();
-    send::<ResourceReport>();
-    send::<CheckError>();
-    send::<CheckRun>();
 }
 
 fn run_race(
@@ -859,92 +840,62 @@ fn run_race(
         return Ok((Verdict::Unknown(reason.into()), report));
     }
     report.raced = true;
-    let loser_flags: Vec<Arc<AtomicBool>> = RACERS
-        .iter()
-        .map(|_| Arc::new(AtomicBool::new(false)))
-        .collect();
+    let decided = Arc::new(AtomicBool::new(false));
     let explicit_budget = Budget {
         max_states: Some(budget.max_states.unwrap_or(RACE_EXPLICIT_STATES)),
         ..budget.clone()
     };
-    let (tx, rx) = mpsc::channel::<(usize, Result<EngineOutcome, String>)>();
-    let (results, first_conclusive) = std::thread::scope(|scope| {
-        for (i, &engine) in RACERS.iter().enumerate() {
-            let racer_guard = derive_race_guard(guard, Arc::clone(&loser_flags[i]));
+    let (tx, rx) = mpsc::channel::<(Engine, Result<CheckRun, CheckError>)>();
+    let mut winner: Option<(Verdict, &'static str)> = None;
+    let mut first_unknown: Option<Verdict> = None;
+    let mut first_error: Option<CheckError> = None;
+    std::thread::scope(|scope| {
+        for engine in RACERS {
+            let racer_guard = derive_race_guard(guard, Arc::clone(&decided));
             let tx = tx.clone();
             let race_budget = match engine {
                 Engine::ExplicitStateGraph => &explicit_budget,
                 _ => budget,
             };
             scope.spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-                    Engine::UnfoldingIlp => {
-                        run_unfolding(artifacts, property, race_budget, &racer_guard)
-                    }
-                    Engine::ExplicitStateGraph => {
-                        run_explicit(artifacts, property, race_budget, &racer_guard)
-                    }
-                    Engine::Cegar => run_cegar(artifacts, property, race_budget, &racer_guard),
-                    _ => run_symbolic(artifacts, property, race_budget, &racer_guard),
-                }));
-                let _ = tx.send((i, outcome.map_err(|p| panic_message(p.as_ref()))));
+                let _ = tx.send((
+                    engine,
+                    dispatch(artifacts, property, engine, race_budget, &racer_guard),
+                ));
             });
         }
         drop(tx);
-        let mut slots: Vec<Option<Result<EngineOutcome, String>>> =
-            RACERS.iter().map(|_| None).collect();
-        let mut first_conclusive: Option<usize> = None;
-        while let Ok((i, outcome)) = rx.recv() {
-            let conclusive = matches!(&outcome, Ok(Ok((verdict, _))) if !verdict.is_unknown());
-            slots[i] = Some(outcome);
-            if conclusive && first_conclusive.is_none() {
-                first_conclusive = Some(i);
-                // Retire the losers; they answer `Unknown(Cancelled)`
-                // at their next poll and the scope joins promptly.
-                for (j, flag) in loser_flags.iter().enumerate() {
-                    if j != i {
-                        flag.store(true, Ordering::Relaxed);
+        // Outcomes arrive in completion order, so the win (and the
+        // per-engine stats built on it) goes to the racer that
+        // concluded first; a near-simultaneous second conclusive racer
+        // agrees on the verdict (engines are cross-validated) and is
+        // only merged into the resource report.
+        while let Ok((engine, outcome)) = rx.recv() {
+            match outcome {
+                Ok(CheckRun {
+                    verdict,
+                    report: engine_report,
+                }) => {
+                    merge_report(&mut report, engine_report);
+                    if !verdict.is_unknown() && winner.is_none() {
+                        // Retire the loser; it answers
+                        // `Unknown(Cancelled)` at its next poll and the
+                        // scope joins promptly.
+                        decided.store(true, Ordering::Relaxed);
+                        winner = Some((verdict, engine.name()));
+                    } else if verdict.is_unknown()
+                        && first_unknown.is_none()
+                        && !matches!(verdict, Verdict::Unknown(ExhaustionReason::Cancelled))
+                    {
+                        first_unknown = Some(verdict);
                     }
                 }
-            }
-        }
-        (slots, first_conclusive)
-    });
-
-    let mut winner: Option<(Verdict, &'static str)> = None;
-    let mut first_unknown: Option<Verdict> = None;
-    let mut first_error: Option<CheckError> = None;
-    for (i, slot) in results.into_iter().enumerate() {
-        let engine = RACERS[i];
-        match slot {
-            Some(Ok(Ok((verdict, engine_report)))) => {
-                merge_report(&mut report, engine_report);
-                if first_conclusive == Some(i) {
-                    // The recv loop recorded whose conclusive verdict
-                    // arrived first, so the win (and the per-engine
-                    // stats built on it) reflects actual completion
-                    // order; a near-simultaneous second conclusive
-                    // racer agrees on the verdict (engines are
-                    // cross-validated) and is only merged into the
-                    // resource report.
-                    winner = Some((verdict, engine.name()));
-                } else if verdict.is_unknown()
-                    && first_unknown.is_none()
-                    && !matches!(verdict, Verdict::Unknown(ExhaustionReason::Cancelled))
-                {
-                    first_unknown = Some(verdict);
+                Err(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
-            Some(Ok(Err(e))) if first_error.is_none() => first_error = Some(e),
-            Some(Err(message)) if first_error.is_none() => {
-                first_error = Some(CheckError::EngineFailure {
-                    engine: engine.name(),
-                    message,
-                });
-            }
-            _ => {}
         }
-    }
+    });
     if let Some((verdict, name)) = winner {
         report.winner = Some(name);
         return Ok((verdict, report));
@@ -975,7 +926,9 @@ fn fold_stage(report: &mut ResourceReport, stage: ResourceReport) {
 /// keeps the counters `aggregate` already has, except that
 /// `prefix_events_built` is summed, since every stage and racer built
 /// its own events. Each racer's counters belong to exactly one engine,
-/// so for the race the order does not matter.
+/// so for the race the order does not matter. The BDD and CEGAR
+/// counters are not merged: only a named symbolic or CEGAR engine sets
+/// them, as the last stage of its check, so `from` never carries them.
 fn merge_report(aggregate: &mut ResourceReport, from: ResourceReport) {
     aggregate.prefix_events_built = match (aggregate.prefix_events_built, from.prefix_events_built)
     {
@@ -986,9 +939,6 @@ fn merge_report(aggregate: &mut ResourceReport, from: ResourceReport) {
     aggregate.prefix_conditions = aggregate.prefix_conditions.or(from.prefix_conditions);
     aggregate.solver_steps = aggregate.solver_steps.or(from.solver_steps);
     aggregate.states = aggregate.states.or(from.states);
-    aggregate.bdd_nodes = aggregate.bdd_nodes.or(from.bdd_nodes);
-    aggregate.bdd = aggregate.bdd.take().or(from.bdd);
-    aggregate.cegar = aggregate.cegar.or(from.cegar);
     aggregate.unfold = aggregate.unfold.or(from.unfold);
     aggregate.structure = aggregate.structure.or(from.structure);
 }
@@ -1185,7 +1135,6 @@ mod tests {
 
     #[test]
     fn race_is_conclusive_and_reports_a_winner() {
-        assert_race_send_bounds();
         for (stg, expected) in [(vme_read(), false), (counterflow_sym(2, 2), true)] {
             let run = CheckRequest::new(&stg, Property::Csc)
                 .engine(Engine::Race)
@@ -1194,10 +1143,8 @@ mod tests {
             assert_eq!(run.verdict.holds(), Some(expected));
             assert_eq!(run.report.engine, "race");
             let winner = run.report.winner.expect("conclusive race names its winner");
-            assert!(
-                ["unfolding-ilp", "explicit", "symbolic", "cegar"].contains(&winner),
-                "{winner}"
-            );
+            assert!(["unfolding-ilp", "explicit"].contains(&winner), "{winner}");
+            assert!(run.report.bdd.is_none() && run.report.cegar.is_none());
         }
     }
 
@@ -1217,9 +1164,9 @@ mod tests {
         let populated = [
             run.report.prefix_events.is_some(),
             run.report.states.is_some(),
-            run.report.bdd_nodes.is_some(),
         ];
         assert!(populated.iter().any(|&p| p), "{:?}", run.report);
+        assert!(run.report.bdd_nodes.is_none() && run.report.cegar.is_none());
     }
 
     #[test]
@@ -1388,7 +1335,7 @@ mod tests {
     #[test]
     fn race_answers_from_the_capped_unfolding_stage() {
         // The paper's engine answers CF-SYM-A under stage 2's caps: no
-        // racer starts, so neither does CEGAR's LP.
+        // racer starts.
         let stg = counterflow_sym(2, 3);
         let artifacts = Artifacts::of(&stg);
         let run = CheckRequest::new(&stg, Property::Csc)
@@ -1401,7 +1348,7 @@ mod tests {
         assert_eq!(run.report.engine, "race");
         assert_eq!(run.report.winner, Some("unfolding-ilp"));
         assert!(!run.report.raced);
-        assert_eq!(run.report.cegar, None, "the CEGAR racer never ran");
+        assert_eq!(run.report.cegar, None, "CEGAR never ran");
         assert!(run.report.structure.is_some());
         assert!(run.report.prefix_events.is_some_and(|n| n > 0));
         assert!(!artifacts.has_state_graph() && !artifacts.has_symbolic());
@@ -1465,10 +1412,8 @@ mod tests {
             assert_eq!(run.verdict.holds(), oracle.verdict.holds());
             assert!(run.report.raced, "the racers ran after stage 2");
             let winner = run.report.winner.expect("a racer answers");
-            assert!(
-                ["explicit", "symbolic", "cegar"].contains(&winner),
-                "{winner}: the unfolding racer is capped too"
-            );
+            assert_eq!(winner, "explicit", "the unfolding racer is capped too");
+            assert!(run.report.bdd.is_none() && run.report.cegar.is_none());
         }
     }
 
@@ -1491,38 +1436,36 @@ mod tests {
     }
 
     #[test]
-    fn race_losers_stop_mid_lp() {
+    fn named_cegar_job_stops_mid_lp() {
         use lint::{LintOptions, LpOptions};
         use stg::gen::counterflow::counterflow_asym;
-        // CF-ASYM-B: conflict-free, and its relaxation LP takes seconds.
-        // The cegar racer starts with that LP; once another racer wins,
-        // its loser flag must stop the LP mid-solve.
+        // CF-ASYM-B is conflict-free, and its relaxation LP, the first
+        // step of a named cegar job, takes seconds: the job's deadline
+        // must stop the LP mid-solve.
         let stg = counterflow_asym(4, 2);
-        let artifacts = Artifacts::of(&stg);
+        let deadline = std::time::Duration::from_millis(200);
         let start = Instant::now();
-        let (verdict, report) = run_race(
-            &artifacts,
-            Property::Csc,
-            &Budget::unlimited(),
-            &StopGuard::unlimited(),
-        )
-        .unwrap();
-        let race = start.elapsed();
-        assert_eq!(verdict, Verdict::Holds);
-        assert_ne!(report.winner, Some("cegar"));
-        // The same LP, given five times the race's whole duration,
-        // still does not finish: the race did not wait for it.
+        let run = CheckRequest::new(&stg, Property::Csc)
+            .engine(Engine::Cegar)
+            .budget(Budget::unlimited().with_deadline(deadline))
+            .run()
+            .unwrap();
+        let waited = start.elapsed();
+        let expired = Verdict::Unknown(ExhaustionReason::DeadlineExpired);
+        assert_eq!(run.verdict, expired);
+        assert!(waited < deadline * 4, "the job ended after {waited:?}");
+        // The same LP, given five times the deadline, still does not
+        // finish: the job did not wait for it.
         let options = LintOptions {
             lp_options: LpOptions {
-                guard: StopGuard::new(None, Some(Instant::now() + race * 5)),
+                guard: StopGuard::new(None, Some(Instant::now() + deadline * 5)),
                 ..LpOptions::default()
             },
             ..LintOptions::default()
         };
-        let lp = lint::lint_stg(&stg, &options);
         assert!(
-            lp.proofs.lp_abstained,
-            "the LP finished within 5x the race ({race:?}), so the race cannot show it stopped"
+            lint::lint_stg(&stg, &options).proofs.lp_abstained,
+            "the LP alone finished in 5x the deadline"
         );
     }
 }

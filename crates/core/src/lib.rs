@@ -67,7 +67,7 @@ pub use artifact::{Artifacts, PrefixArtifact};
 pub use cegar::CegarStats;
 pub use checker::{CheckOutcome, Checker, CheckerOptions, NormalcyOutcome, NormalcyReport};
 pub use consistency::{ConsistencyOutcome, ConsistencyViolation};
-pub use engine::{CheckRequest, Engine, Property};
+pub use engine::{CheckRequest, Engine, Property, RACERS};
 pub use error::CheckError;
 pub use limits::{
     Budget, CancelToken, CheckRun, ExhaustionReason, ResourceReport, StructureSummary, Verdict,

@@ -286,11 +286,11 @@ pub struct ResourceReport {
     /// The stage that answered: `"structure"` when that stage decided
     /// the check before any engine ran, and for `"race"`
     /// the schedule stage or racer whose verdict was adopted
-    /// (`"explicit"`, `"unfolding-ilp"`, `"symbolic"`, `"cegar"`).
+    /// (`"explicit"` or `"unfolding-ilp"`).
     /// `None` when an engine other than `"race"` answered, or when no
     /// stage was conclusive.
     pub winner: Option<&'static str>,
-    /// Whether the four-way race of [`crate::Engine::Race`] ran, i.e.
+    /// Whether the race of [`crate::Engine::Race`] ran, i.e.
     /// its racers were started. `false` when an earlier stage of the
     /// schedule (structure, small-state probe, capped unfolding)
     /// answered or used up the deadline, and for every other engine.

@@ -21,8 +21,19 @@ use crate::PlaceId;
 /// assert_eq!(m.total(), 2);
 /// assert!(!m.is_safe());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Marking(Vec<u32>);
+
+/// `clone_from` reuses the buffer, so a scratch marking allocates once.
+impl Clone for Marking {
+    fn clone(&self) -> Self {
+        Marking(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl Marking {
     /// The empty marking over `num_places` places.

@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::{Marking, Net, StopGuard, StopReason, TransitionId};
 
@@ -87,13 +88,20 @@ impl fmt::Display for ReachError {
 impl Error for ReachError {}
 
 /// The explicit reachability graph `[M0⟩` of a net system, with BFS
-/// parent pointers for shortest-witness extraction.
+/// parent pointers for shortest-witness extraction. Each state owns
+/// one heap block, its marking: the index keys states by the marking's
+/// hash, and all edges share one vector.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     markings: Vec<Marking>,
-    index: HashMap<Marking, StateId>,
-    /// `edges[s]` = (t, s') pairs with `M_s [t⟩ M_{s'}`.
-    edges: Vec<Vec<(TransitionId, StateId)>>,
+    /// The last state whose marking has the given hash.
+    index: HashMap<u64, StateId>,
+    /// `same_hash[s]`: the state found before `s` with `s`'s hash.
+    same_hash: Vec<Option<StateId>>,
+    /// (t, s') pairs with `M_s [t⟩ M_{s'}`; BFS expands states in id
+    /// order, so `s`'s edges are `edges[offsets[s]..offsets[s + 1]]`.
+    edges: Vec<(TransitionId, StateId)>,
+    offsets: Vec<usize>,
     /// BFS tree: the (transition, predecessor) that first discovered a
     /// state; `None` for the initial state.
     parent: Vec<Option<(TransitionId, StateId)>>,
@@ -124,18 +132,24 @@ impl ReachabilityGraph {
         limits: ExploreLimits,
         guard: &StopGuard,
     ) -> Result<Self, ReachError> {
-        let mut g = ReachabilityGraph {
-            markings: vec![m0.clone()],
-            index: HashMap::from([(m0.clone(), StateId(0))]),
-            edges: vec![Vec::new()],
-            parent: vec![None],
-        };
         if let Some(p) = m0
             .marked_places()
             .find(|&p| m0.tokens(p) > limits.token_bound)
         {
             return Err(ReachError::BoundExceeded(p));
         }
+        let mut g = ReachabilityGraph {
+            markings: vec![m0.clone()],
+            index: HashMap::new(),
+            same_hash: vec![None],
+            edges: Vec::new(),
+            offsets: vec![0],
+            parent: vec![None],
+        };
+        g.index.insert(g.index.hasher().hash_one(m0), StateId(0));
+        // Successors are built in one scratch marking; only a new
+        // state's marking is copied out of it.
+        let mut next = m0.clone();
         let mut frontier = 0usize;
         while frontier < g.markings.len() {
             if let Err(reason) = guard.poll_now() {
@@ -145,36 +159,58 @@ impl ReachabilityGraph {
                 });
             }
             let sid = StateId(frontier as u32);
-            let current = g.markings[frontier].clone();
             for t in net.transitions() {
-                let Some(next) = net.fire(&current, t) else {
+                let current = &g.markings[frontier];
+                if !net.is_enabled(current, t) {
                     continue;
-                };
-                if let Some(p) = next
-                    .marked_places()
-                    .find(|&p| next.tokens(p) > limits.token_bound)
+                }
+                next.clone_from(current);
+                for &p in net.preset(t) {
+                    next.remove_token(p);
+                }
+                for &p in net.postset(t) {
+                    next.add_token(p);
+                }
+                // Only the postset, sorted by place id, gained tokens.
+                if let Some(&p) = net
+                    .postset(t)
+                    .iter()
+                    .find(|&&p| next.tokens(p) > limits.token_bound)
                 {
                     return Err(ReachError::BoundExceeded(p));
                 }
-                let next_id = match g.index.get(&next) {
-                    Some(&id) => id,
+                let hash = g.index.hasher().hash_one(&next);
+                let next_id = match g.find(&next, hash) {
+                    Some(id) => id,
                     None => {
                         if g.markings.len() >= limits.max_states {
                             return Err(ReachError::StateLimitExceeded(limits.max_states));
                         }
                         let id = StateId(g.markings.len() as u32);
-                        g.index.insert(next.clone(), id);
-                        g.markings.push(next);
-                        g.edges.push(Vec::new());
+                        g.same_hash.push(g.index.insert(hash, id));
+                        g.markings.push(next.clone());
                         g.parent.push(Some((t, sid)));
                         id
                     }
                 };
-                g.edges[frontier].push((t, next_id));
+                g.edges.push((t, next_id));
             }
+            g.offsets.push(g.edges.len());
             frontier += 1;
         }
         Ok(g)
+    }
+
+    /// The state with marking `m`, whose hash is `hash`, if discovered.
+    fn find(&self, m: &Marking, hash: u64) -> Option<StateId> {
+        let mut candidate = self.index.get(&hash).copied();
+        while let Some(s) = candidate {
+            if self.markings[s.index()] == *m {
+                return Some(s);
+            }
+            candidate = self.same_hash[s.index()];
+        }
+        None
     }
 
     /// Number of reachable markings.
@@ -189,12 +225,12 @@ impl ReachabilityGraph {
 
     /// Looks up the state id of a marking, if reachable.
     pub fn state_of(&self, m: &Marking) -> Option<StateId> {
-        self.index.get(m).copied()
+        self.find(m, self.index.hasher().hash_one(m))
     }
 
     /// Outgoing edges of `s` as (transition, successor) pairs.
     pub fn successors(&self, s: StateId) -> &[(TransitionId, StateId)] {
-        &self.edges[s.index()]
+        &self.edges[self.offsets[s.index()]..self.offsets[s.index() + 1]]
     }
 
     /// Iterates over all state ids in BFS order.
@@ -217,13 +253,13 @@ impl ReachabilityGraph {
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The states with no outgoing edges (reachable deadlocks).
     pub fn deadlocks(&self) -> Vec<StateId> {
         self.states()
-            .filter(|s| self.edges[s.index()].is_empty())
+            .filter(|&s| self.successors(s).is_empty())
             .collect()
     }
 }

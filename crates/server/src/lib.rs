@@ -12,8 +12,9 @@
 //! ([`server`]), and by default each worker decides its job with the
 //! `Engine::Race` schedule under one absolute deadline: the structure
 //! fast path, the paper's unfolding+ILP engine under small caps, and
-//! only then a race of the base engines on separate threads, first
-//! conclusive verdict wins, losers cancelled.
+//! only then a race of that engine, uncapped, against explicit
+//! enumeration on separate threads, first conclusive verdict wins,
+//! loser cancelled.
 //!
 //! The [`client`] module is the matching blocking client, used by
 //! `stgcheck --server`, `stgbench` and the integration tests.

@@ -378,7 +378,12 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// that ignore unknown members keep working unchanged. Revision 9
 /// removed revision 3's lint summary, the `lint` winner and the
 /// `lint_proved` stats counter: a check runs no LP stage of its own.
-pub const PROTO_VERSION: u64 = 9;
+/// Revision 10 races two engines, `unfolding-ilp` and `explicit`,
+/// where it raced four: `stats.race.wins` and `stats.race.cancelled`
+/// lost their `symbolic` and `cegar` entries, and a `race` response's
+/// `report.bdd`, `report.bdd_nodes` and `report.cegar` are always null.
+/// Both engines still answer when a request names them.
+pub const PROTO_VERSION: u64 = 10;
 
 /// Encodes the verdict response for a completed check.
 pub fn encode_check_response(id: &str, stg: &Stg, run: &CheckRun) -> String {
@@ -1006,8 +1011,9 @@ mod tests {
             .get("report")
             .and_then(|r| r.get("bdd"))
             .is_some_and(Value::is_null));
-        // Revision 9 dropped the `lint` member with the LP stage.
-        assert_eq!(PROTO_VERSION, 9);
+        // Revision 9 dropped the `lint` member with the LP stage;
+        // revision 10 races two engines.
+        assert_eq!(PROTO_VERSION, 10);
         assert!(v.get("report").and_then(|r| r.get("lint")).is_none());
     }
 

@@ -43,7 +43,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use csc_core::{CancelToken, Engine};
+use csc_core::{CancelToken, Engine, RACERS};
 use stg::Stg;
 
 use crate::cache::ArtifactCache;
@@ -148,10 +148,10 @@ struct Stats {
     /// Cumulative guided host pairs discarded by the structural
     /// concurrency relation across all `synthesize` jobs.
     synthesize_candidates_pruned: u64,
-    /// Race outcomes keyed like [`RACER_NAMES`].
-    race_wins: [u64; 4],
+    /// Race outcomes keyed like [`RACERS`].
+    race_wins: [u64; RACERS.len()],
     /// Races some *other* engine won while this one was retired.
-    race_cancelled: [u64; 4],
+    race_cancelled: [u64; RACERS.len()],
     race_inconclusive: u64,
     latency_total_ms: f64,
     latency_max_ms: f64,
@@ -176,9 +176,6 @@ struct Stats {
     /// `set_write_timeout`) surfaced instead of silently ignored.
     socket_config_errors: u64,
 }
-
-/// Engine-name order of the per-racer stats arrays.
-const RACER_NAMES: [&str; 4] = ["unfolding-ilp", "explicit", "symbolic", "cegar"];
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -486,12 +483,12 @@ impl Shared {
         } else {
             0.0
         };
-        let per_racer = |values: [u64; 4]| {
+        let per_racer = |values: [u64; RACERS.len()]| {
             Value::Obj(
-                RACER_NAMES
+                RACERS
                     .iter()
                     .zip(values)
-                    .map(|(name, v)| ((*name).to_owned(), Value::from(v)))
+                    .map(|(engine, v)| (engine.name().to_owned(), Value::from(v)))
                     .collect(),
             )
         };
@@ -1266,8 +1263,8 @@ fn process_check(request: &CheckRequest, job: &Job, shared: &Arc<Shared>) -> Str
                 if run.report.raced {
                     match run.report.winner {
                         Some(winner) => {
-                            for (i, name) in RACER_NAMES.iter().enumerate() {
-                                if *name == winner {
+                            for (i, engine) in RACERS.iter().enumerate() {
+                                if engine.name() == winner {
                                     stats.race_wins[i] += 1;
                                 } else {
                                     stats.race_cancelled[i] += 1;

@@ -23,8 +23,8 @@
 //! Engines: `unfolding` (default; also `unfolding-ilp`), `explicit`,
 //! `symbolic`, `cegar`, `race` (the service's ordered schedule:
 //! structure, then the paper's engine under caps, then a race of the
-//! base engines). The `usc`/`csc` commands also accept
-//! budget flags: `--timeout-ms N` (wall-clock deadline) and
+//! paper's engine against `explicit`). The `usc`/`csc` commands also
+//! accept budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
 //! code 3.
 //!

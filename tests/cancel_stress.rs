@@ -1,6 +1,6 @@
 //! Concurrent-cancellation stress: a `CancelToken` flipped mid-check
 //! must stop every engine — including the race, whose
-//! four racers each derive their own guard from the same token —
+//! two racers each derive their own guard from the same token —
 //! with `Unknown(Cancelled)` within a bounded delay.
 //!
 //! Each engine gets an adversarial input it would otherwise chew on
@@ -38,7 +38,7 @@ fn adversarial_input(engine: Engine) -> Stg {
         // The integer search over the state equation branches for
         // minutes; cancellation is polled per pivot and per node.
         Engine::Cegar => counterflow_sym(4, 4),
-        // All four racers must be slow, or one would win before the
+        // Both racers must be slow, or one would win before the
         // cancel fires; the 18-client arbiter takes every engine
         // seconds.
         Engine::Race => mutex_arbiter(18),
@@ -87,9 +87,9 @@ fn mid_flight_cancel_stops_each_engine_within_bounded_delay() {
     }
 }
 
-/// The race propagates one external cancel into all four
-/// racer threads: the race as a whole must come back cancelled, not
-/// hang on a racer that missed the flag.
+/// The race propagates one external cancel into both racer
+/// threads: the race as a whole must come back cancelled, not hang
+/// on a racer that missed the flag.
 #[test]
 fn mid_flight_cancel_stops_the_race() {
     let (verdict, elapsed) = cancelled_run(Engine::Race);
