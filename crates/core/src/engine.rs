@@ -55,17 +55,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ilp::AbortCause;
-use petri::{ExploreLimits, Marking, PlaceId, ReachError, StopGuard};
-use stg::{CodeVec, Edge, Label, SgError, Signal, Stg};
+use lint::structure::{decide_state_machine, StateMachineCoding};
+use petri::{ExploreLimits, ReachError, StopGuard};
+use stg::{SgError, Signal, Stg};
 use symbolic::{SymbolicBudget, SymbolicChecker, SymbolicStop};
 use unfolding::UnfoldError;
 
 use crate::artifact::Artifacts;
 use crate::checker::{CheckOutcome, Checker, CheckerOptions};
 use crate::error::CheckError;
-use crate::limits::{
-    Budget, CheckRun, ExhaustionReason, ResourceReport, StructureSummary, Verdict, Witness,
-};
+use crate::limits::{Budget, CheckRun, ExhaustionReason, ResourceReport, Verdict, Witness};
 
 /// Which engine decides the property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,10 +255,11 @@ impl<'a> CheckRequest<'a> {
     /// Enables the structural net-class stage (off by default).
     /// Before any engine runs, the structure pass
     /// ([`lint::structure::analyse`], cached in the [`Artifacts`]
-    /// set) detects the net's class; when a class-gated fast path can
-    /// decide the property exactly — currently single-token state
-    /// machines, whose reachable markings are exactly the reachable
-    /// places of the place graph — the engines are short-circuited
+    /// set) detects the net's class; when
+    /// [`lint::structure::decide_state_machine`] can decide the
+    /// property exactly — single-token state machines, whose reachable
+    /// markings are exactly the reachable places of the place graph —
+    /// the engines are short-circuited
     /// and the run returns with [`ResourceReport::structure`] marked
     /// `proved`, `winner = "structure"` and `prefix_events_built` =
     /// 0. Otherwise the requested engine runs normally and the report
@@ -343,17 +343,22 @@ impl<'a> CheckRequest<'a> {
         // with a concrete two-state witness on refutation.
         if self.structure {
             let structure = artifacts.structure();
-            let verdict = match self.property {
-                Property::Usc | Property::Csc => {
-                    state_machine_fast_path(artifacts.stg(), &structure, self.property)
-                }
+            let decided = match self.property {
+                Property::Usc | Property::Csc => decide_state_machine(
+                    artifacts.stg(),
+                    &structure.classes,
+                    self.property == Property::Csc,
+                ),
                 Property::Normalcy => None,
             };
-            report.structure = Some(summarize_structure(&structure, verdict.is_some()));
-            if let Some(verdict) = verdict {
+            report.structure = Some(structure.summary(decided.is_some()));
+            if let Some(coding) = decided {
                 report.winner = Some("structure");
                 report.prefix_events_built = Some(0);
-                return Ok(verdict);
+                return Ok(match coding {
+                    StateMachineCoding::Holds => Verdict::Holds,
+                    StateMachineCoding::Conflict(pair) => Verdict::Violated(Witness::States(pair)),
+                });
             }
         }
         // Race stage 2: a small-state probe, then the paper's engine
@@ -414,104 +419,6 @@ fn dispatch(
             message: panic_message(&payload),
         }),
     }
-}
-
-/// Projects a full structure report onto the compact summary carried
-/// by [`ResourceReport::structure`].
-fn summarize_structure(report: &lint::StructureReport, proved: bool) -> StructureSummary {
-    StructureSummary {
-        classes: report.classes,
-        exact: matches!(
-            report.concurrency.level(),
-            lint::Approximation::ExactForLiveFreeChoice
-        ),
-        concurrent_place_pairs: report.concurrency.concurrent_place_pairs() as u64,
-        locked_signal_pairs: report.lock.locked_pairs() as u64,
-        signal_pairs: report.lock.total_pairs() as u64,
-        proved,
-    }
-}
-
-/// Exact USC/CSC decision for single-token state machines.
-///
-/// In a state machine every transition moves the unique token from
-/// one place to another, so the reachable markings are exactly the
-/// places reachable from the initially marked place in the place
-/// graph, and the code of a reachable marking is a function of its
-/// place. The walk labels each reachable place with its code,
-/// *bailing to the engines* (`None`) on any irregularity — more than
-/// one initial token, a rise/fall firing from the wrong value, or two
-/// paths assigning different codes to one place (an inconsistent
-/// STG): the fast path only decides nets whose semantics it models
-/// exactly, so enabling it never changes a verdict. USC holds iff
-/// all reachable codes are distinct; CSC additionally tolerates
-/// equal codes when the two markings enable the same local signals.
-/// Refutations carry the two single-token markings as a
-/// [`Witness::States`] pair, like the explicit engine's.
-fn state_machine_fast_path(
-    stg: &Stg,
-    report: &lint::StructureReport,
-    property: Property,
-) -> Option<Verdict> {
-    use std::collections::VecDeque;
-
-    if !report.classes.state_machine || stg.initial_marking().total() != 1 {
-        return None;
-    }
-    let net = stg.net();
-    let start = stg.initial_marking().marked_places().next()?;
-    let mut codes: Vec<Option<CodeVec>> = vec![None; net.num_places()];
-    codes[start.index()] = Some(stg.initial_code().clone());
-    let mut reached = vec![start];
-    let mut queue = VecDeque::from([start]);
-    while let Some(p) = queue.pop_front() {
-        let code = codes[p.index()].clone()?;
-        for &t in net.place_postset(p) {
-            let q = *net.postset(t).first()?;
-            let mut next = code.clone();
-            if let Label::SignalEdge(z, e) = stg.label(t) {
-                let want = matches!(e, Edge::Rise);
-                if next.bit(z) == want {
-                    // A rise from 1 or fall from 0: the STG is
-                    // inconsistent; let the engines report it.
-                    return None;
-                }
-                next.set_bit(z, want);
-            }
-            match &codes[q.index()] {
-                Some(existing) if *existing != next => return None,
-                Some(_) => {}
-                None => {
-                    codes[q.index()] = Some(next);
-                    reached.push(q);
-                    queue.push_back(q);
-                }
-            }
-        }
-    }
-    let marking_of = |p: PlaceId| Marking::with_tokens(net.num_places(), &[(p, 1)]);
-    for (i, &p) in reached.iter().enumerate() {
-        for &q in &reached[i + 1..] {
-            if codes[p.index()] != codes[q.index()] {
-                continue;
-            }
-            let conflict = match property {
-                Property::Usc => true,
-                Property::Csc => {
-                    stg.enabled_local_signals(&marking_of(p))
-                        != stg.enabled_local_signals(&marking_of(q))
-                }
-                Property::Normalcy => return None,
-            };
-            if conflict {
-                return Some(Verdict::Violated(Witness::States(Box::new((
-                    marking_of(p),
-                    marking_of(q),
-                )))));
-            }
-        }
-    }
-    Some(Verdict::Holds)
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -804,7 +711,9 @@ fn run_cegar(
         cegar::CegarOutcome::Unknown(abort) => Verdict::Unknown(match abort {
             cegar::CegarAbort::Cancelled => ExhaustionReason::Cancelled,
             cegar::CegarAbort::DeadlineExpired => ExhaustionReason::DeadlineExpired,
-            cegar::CegarAbort::Exhausted => ExhaustionReason::SolverStepLimit(stats.branch_nodes),
+            cegar::CegarAbort::Exhausted => {
+                ExhaustionReason::SolverStepLimit(options.max_nodes_per_target)
+            }
         }),
     };
     Ok((verdict, report))
@@ -950,6 +859,7 @@ mod tests {
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::dup_4ph;
     use stg::gen::vme::{vme_read, vme_read_csc_resolved};
+    use stg::Edge;
     use stg::StateGraph;
 
     #[test]

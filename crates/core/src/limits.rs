@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cegar::CegarStats;
+pub use lint::structure::StructureSummary;
 use petri::{Marking, StopGuard, StopReason};
 use symbolic::BddStats;
 
@@ -337,28 +338,6 @@ pub struct ResourceReport {
     /// itself built `prefix_events_built = 0` events. `None` for
     /// engines that never touched the unfolding stage.
     pub unfold: Option<unfolding::UnfoldStats>,
-}
-
-/// Summary of a structural net-class pass attached to a
-/// [`ResourceReport`] (see `lint::structure`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StructureSummary {
-    /// The net's structural classes; `classes.name()` is the most
-    /// specific one.
-    pub classes: lint::structure::Classes,
-    /// The structural concurrency relation is exact provided the net
-    /// is live (true exactly when the net is free-choice).
-    pub exact: bool,
-    /// Unordered structurally concurrent place pairs.
-    pub concurrent_place_pairs: u64,
-    /// Unordered locked signal pairs (out of `signal_pairs`).
-    pub locked_signal_pairs: u64,
-    /// Total unordered distinct signal pairs.
-    pub signal_pairs: u64,
-    /// The verdict of this run was decided by the structure fast path
-    /// alone: the engines were short-circuited and
-    /// `prefix_events_built` is 0.
-    pub proved: bool,
 }
 
 impl ResourceReport {

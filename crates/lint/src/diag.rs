@@ -1,5 +1,5 @@
 //! The diagnostic framework: stable codes, severities, source spans,
-//! and human/JSON rendering.
+//! and the one human and one JSON rendering of a diagnostic list.
 
 use std::fmt;
 
@@ -194,6 +194,76 @@ impl fmt::Display for Diagnostic {
         }
         write!(f, ": {}", self.message)
     }
+}
+
+/// Renders diagnostics one per line in the editor-jump format
+/// `path:line:col: severity[code] message` (`path: …` when a
+/// diagnostic has no span). Every human report starts with these
+/// lines.
+pub fn render_human(path: &str, diagnostics: &[Diagnostic]) -> String {
+    let mut out = String::new();
+    for d in diagnostics {
+        let at = match d.span {
+            Some(span) => format!("{path}:{span}"),
+            None => path.to_owned(),
+        };
+        out.push_str(&format!(
+            "{at}: {}[{}] {}\n",
+            d.severity(),
+            d.code,
+            d.message
+        ));
+    }
+    out
+}
+
+/// Renders diagnostics as the JSON array every report's
+/// `"diagnostics"` member holds: one object per line, with stable
+/// field names and `null` for a missing span or object.
+pub(crate) fn render_json(diagnostics: &[Diagnostic]) -> String {
+    let mut out = String::from("[");
+    for (i, d) in diagnostics.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{\"code\": \"{}\", \"severity\": \"{}\"",
+            d.code,
+            d.severity()
+        ));
+        match d.span {
+            Some(span) => {
+                out.push_str(&format!(", \"line\": {}, \"col\": {}", span.line, span.col));
+            }
+            None => out.push_str(", \"line\": null, \"col\": null"),
+        }
+        match &d.object {
+            Some(obj) => out.push_str(&format!(", \"object\": \"{}\"", escape(obj))),
+            None => out.push_str(", \"object\": null"),
+        }
+        out.push_str(&format!(", \"message\": \"{}\"}}", escape(&d.message)));
+    }
+    if !diagnostics.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push(']');
+    out
+}
+
+/// Escapes a string for a JSON string literal.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Classifies a parse failure into a coded diagnostic.

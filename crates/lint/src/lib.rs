@@ -4,9 +4,11 @@
 //! — no unfolding prefix, no reachability graph, no BDDs:
 //!
 //! * **Well-formedness** — parse failures classified into stable
-//!   diagnostic codes with source spans, plus net-level findings
-//!   (unused signals, mixed input/output choice, disconnected places,
-//!   structurally dead transitions, unmarked siphons).
+//!   diagnostic codes with source spans, plus the net-level findings
+//!   of the [`structure`] pass (unused signals, mixed input/output
+//!   choice, disconnected places, structurally dead transitions,
+//!   unmarked siphons). [`structure`] also holds the net classes, the
+//!   concurrency and lock relations, and the state-machine decision.
 //! * **Semiflow proofs** — P-semiflows through the initial marking
 //!   prove places 1-safe ([`petri::invariants`]).
 //! * **LP-relaxation proofs** — the paper's USC/CSC integer program
@@ -44,11 +46,12 @@
 pub mod cuts;
 mod diag;
 mod relax;
-mod structural;
 pub mod structure;
 
 pub use cuts::{blocking_trap, cut_basis, CutBasis};
-pub use diag::{classify_parse_error, Code, Diagnostic, Severity, Span};
+pub use diag::{
+    classify_parse_error, render_human as render_diagnostics, Code, Diagnostic, Severity, Span,
+};
 pub use ilp::{LpFeasibility, LpOptions};
 pub use relax::{prove as relaxation_proofs, safe_places as semiflow_safe_places, Proofs};
 pub use structure::{analyse as analyse_structure, Approximation, Classes, StructureReport};
@@ -58,8 +61,11 @@ use stg::Stg;
 /// Tunables for a lint pass.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
-    /// Run the LP-relaxation proofs (consistency, USC/CSC). On by
-    /// default; structural checks and semiflow proofs always run.
+    /// Run the proofs: semiflow safeness and the LP relaxations
+    /// (consistency, USC/CSC). On by default. Off, the pass runs the
+    /// well-formedness checks only, which is all admission gates on;
+    /// [`relaxation_proofs`] with `lp = false` gives the semiflow
+    /// proof alone.
     pub lp: bool,
     /// Budget for each individual LP solve.
     pub lp_options: LpOptions,
@@ -111,27 +117,7 @@ impl LintReport {
     /// a proof summary. `path` prefixes each span for editor-style
     /// `path:line:col` jumping.
     pub fn render_human(&self, path: &str) -> String {
-        let mut out = String::new();
-        for d in &self.diagnostics {
-            match d.span {
-                Some(span) => {
-                    out.push_str(&format!(
-                        "{path}:{span}: {}[{}] {}\n",
-                        d.severity(),
-                        d.code,
-                        d.message
-                    ));
-                }
-                None => {
-                    out.push_str(&format!(
-                        "{path}: {}[{}] {}\n",
-                        d.severity(),
-                        d.code,
-                        d.message
-                    ));
-                }
-            }
-        }
+        let mut out = diag::render_human(path, &self.diagnostics);
         let p = &self.proofs;
         out.push_str(&format!(
             "{path}: {} error(s), {} warning(s)\n",
@@ -163,31 +149,10 @@ impl LintReport {
     /// Machine-readable rendering (a single JSON object). Hand-rolled
     /// like the server protocol: stable field names, no dependencies.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"code\": \"{}\"", d.code));
-            out.push_str(&format!(", \"severity\": \"{}\"", d.severity()));
-            match d.span {
-                Some(span) => {
-                    out.push_str(&format!(", \"line\": {}, \"col\": {}", span.line, span.col));
-                }
-                None => out.push_str(", \"line\": null, \"col\": null"),
-            }
-            match &d.object {
-                Some(obj) => out.push_str(&format!(", \"object\": \"{}\"", escape(obj))),
-                None => out.push_str(", \"object\": null"),
-            }
-            out.push_str(&format!(", \"message\": \"{}\"", escape(&d.message)));
-            out.push('}');
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
+        let mut out = format!(
+            "{{\n  \"diagnostics\": {},\n",
+            diag::render_json(&self.diagnostics)
+        );
         out.push_str(&format!("  \"errors\": {},\n", self.errors()));
         out.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
         let p = &self.proofs;
@@ -200,7 +165,7 @@ impl LintReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", escape(z)));
+            out.push_str(&format!("\"{}\"", diag::escape(z)));
         }
         out.push_str("],\n");
         out.push_str(&format!("    \"all_consistent\": {},\n", p.all_consistent));
@@ -210,21 +175,6 @@ impl LintReport {
         out.push_str("  }\n}\n");
         out
     }
-}
-
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Result of linting raw `.g` bytes: the parsed STG when parsing
@@ -271,93 +221,73 @@ fn locate_object(bytes: &[u8], name: &str) -> Option<Span> {
     locate_token(bytes, from)
 }
 
+/// Parses raw `.g` bytes, classifying a failure into a coded,
+/// spanned diagnostic.
+fn parse(bytes: &[u8]) -> Result<Stg, Diagnostic> {
+    stg::parse_bytes(bytes).map_err(|err| {
+        let total_lines = bytes.iter().filter(|&&b| b == b'\n').count()
+            + usize::from(!bytes.is_empty() && bytes.last() != Some(&b'\n'));
+        classify_parse_error(&err, total_lines)
+    })
+}
+
+/// Attaches a source span to every diagnostic that names an object
+/// but carries no span (the analyses run on the built STG, which has
+/// no positions), by locating the object's first occurrence in the
+/// source, so editors and JSON consumers can jump to it.
+fn attach_spans(bytes: &[u8], diagnostics: &mut [Diagnostic]) {
+    for d in diagnostics {
+        if let (None, Some(object)) = (d.span, d.object.as_deref()) {
+            d.span = locate_object(bytes, object);
+        }
+    }
+}
+
 /// Lints raw `.g` bytes end to end: parse (classifying any failure
-/// into a coded, spanned diagnostic), then run every net-level
-/// analysis on success. Net-level diagnostics that name an object but
-/// carry no span (the analyses run on the built STG, which has no
-/// positions) get one attached here by locating the object's first
-/// occurrence in the source, so JSON consumers can jump to it.
+/// into a coded, spanned diagnostic), then [`lint_stg`] on success,
+/// with source spans attached to its diagnostics.
 pub fn lint_bytes(bytes: &[u8], options: &LintOptions) -> LintOutcome {
-    let total_lines = bytes.iter().filter(|&&b| b == b'\n').count()
-        + usize::from(!bytes.is_empty() && bytes.last() != Some(&b'\n'));
-    match stg::parse_bytes(bytes) {
+    match parse(bytes) {
         Ok(stg) => {
             let mut report = lint_stg(&stg, options);
-            for d in &mut report.diagnostics {
-                if d.span.is_none() {
-                    if let Some(obj) = d.object.clone() {
-                        d.span = locate_object(bytes, &obj);
-                    }
-                }
-            }
+            attach_spans(bytes, &mut report.diagnostics);
             LintOutcome {
                 stg: Some(stg),
                 report,
             }
         }
-        Err(err) => LintOutcome {
+        Err(diagnostic) => LintOutcome {
             stg: None,
             report: LintReport {
-                diagnostics: vec![classify_parse_error(&err, total_lines)],
+                diagnostics: vec![diagnostic],
                 proofs: Proofs::default(),
             },
         },
     }
 }
 
-/// Result of running the structure pass on raw `.g` bytes.
-#[derive(Debug)]
-pub struct StructureOutcome {
-    /// The parsed STG; `None` when parsing failed.
-    pub stg: Option<Stg>,
-    /// The structure report; `None` when parsing failed.
-    pub report: Option<structure::StructureReport>,
-    /// The classified parse diagnostic when parsing failed.
-    pub error: Option<Diagnostic>,
+/// Runs the structure pass on raw `.g` bytes: parse, then
+/// [`structure::analyse`], with source spans attached to the
+/// class-refutation diagnostics as [`lint_bytes`] attaches them. A
+/// parse failure is the classified, spanned diagnostic.
+pub fn structure_bytes(bytes: &[u8]) -> Result<StructureReport, Diagnostic> {
+    let stg = parse(bytes)?;
+    let mut report = structure::analyse(&stg);
+    attach_spans(bytes, &mut report.diagnostics);
+    Ok(report)
 }
 
-/// Runs the structure pass on raw `.g` bytes: parse (classifying any
-/// failure into a coded, spanned diagnostic), analyse, and attach
-/// source spans to the class-refutation diagnostics by locating each
-/// witnessing object's first occurrence — same mechanism as
-/// [`lint_bytes`].
-pub fn structure_bytes(bytes: &[u8]) -> StructureOutcome {
-    let total_lines = bytes.iter().filter(|&&b| b == b'\n').count()
-        + usize::from(!bytes.is_empty() && bytes.last() != Some(&b'\n'));
-    match stg::parse_bytes(bytes) {
-        Ok(stg) => {
-            let mut report = structure::analyse(&stg);
-            for d in &mut report.diagnostics {
-                if d.span.is_none() {
-                    if let Some(obj) = d.object.clone() {
-                        d.span = locate_object(bytes, &obj);
-                    }
-                }
-            }
-            StructureOutcome {
-                stg: Some(stg),
-                report: Some(report),
-                error: None,
-            }
-        }
-        Err(err) => StructureOutcome {
-            stg: None,
-            report: None,
-            error: Some(classify_parse_error(&err, total_lines)),
-        },
-    }
-}
-
-/// Lints an already-built STG: structural checks, semiflow proofs,
-/// and (per [`LintOptions`]) the LP-relaxation proofs.
+/// Lints an already-built STG: the well-formedness checks of
+/// [`structure::well_formedness`] and, per [`LintOptions::lp`], the
+/// semiflow and LP-relaxation proofs.
 pub fn lint_stg(stg: &Stg, options: &LintOptions) -> LintReport {
-    let mut diagnostics = Vec::new();
-    structural::check(stg, &mut diagnostics);
-    diagnostics.sort_by_key(|d| std::cmp::Reverse(d.severity()));
-    let proofs = relax::prove(stg, options.lp, &options.lp_options);
     LintReport {
-        diagnostics,
-        proofs,
+        diagnostics: structure::well_formedness(stg),
+        proofs: if options.lp {
+            relax::prove(stg, true, &options.lp_options)
+        } else {
+            Proofs::default()
+        },
     }
 }
 
@@ -401,6 +331,23 @@ mod tests {
         );
         let text = out.report.render_human("foo.g");
         assert!(text.contains("foo.g:4:1: error[L003]"), "{text}");
+    }
+
+    #[test]
+    fn admission_lint_runs_no_semiflow_pass() {
+        // Without `lp` the pass is the well-formedness checks alone:
+        // no P-semiflow enumeration, so no place is proved safe.
+        let stg = stg::gen::pipeline::muller_pipeline(100);
+        let options = LintOptions {
+            lp: false,
+            ..LintOptions::default()
+        };
+        let report = lint_stg(&stg, &options);
+        assert!(!report.has_errors(), "{:?}", report.diagnostics);
+        assert_eq!(report.proofs, Proofs::default());
+        // The semiflow pass alone still proves every place safe.
+        let proofs = relaxation_proofs(&stg, false, &options.lp_options);
+        assert!(proofs.net_safe, "{proofs:?}");
     }
 
     #[test]

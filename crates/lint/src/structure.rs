@@ -1,8 +1,11 @@
-//! Structural net-class and concurrency analysis.
+//! The structural pass: every static analysis of the net underlying
+//! an STG, with no unfolding prefix, no reachability graph and no
+//! BDDs:
 //!
-//! A purely static pass over the Petri net underlying an STG — no
-//! unfolding prefix, no reachability graph, no BDDs:
-//!
+//! * **Well-formedness** ([`well_formedness`]) — unused signals,
+//!   mixed input/output choice, disconnected places, structurally
+//!   dead transitions and unmarked siphons, as `L0xx`/`W0xx`
+//!   diagnostics. Admission gates on these.
 //! * **Net-class detection** — marked graph, state machine,
 //!   free-choice, extended free-choice and Wimmel's reduced
 //!   asymmetric choice, each refutation reported as a stable `I0xx`
@@ -18,18 +21,188 @@
 //!   of the other, i.e. their edges provably serialise. Because the
 //!   concurrency relation over-approximates, every locked claim is
 //!   sound.
+//! * **The state-machine decision** ([`decide_state_machine`]) —
+//!   exact USC/CSC on single-token state machines, gated by the class
+//!   flags above.
 //!
 //! The pass is total and cheap (polynomial in the net size), so its
-//! result is cached unconditionally by `csc-core`'s artifact store
-//! and consumed by engine fast paths and the synthesis resolver.
+//! [`analyse`] result is cached unconditionally by `csc-core`'s
+//! artifact store and consumed by the check's structure stage and the
+//! synthesis resolver.
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use petri::{Net, PlaceId, TransitionId};
-use stg::{Signal, Stg};
+use petri::{Marking, Net, PlaceId, TransitionId};
+use stg::{CodeVec, Edge, Label, Signal, SignalKind, Stg};
 
-use crate::diag::{Code, Diagnostic};
-use crate::escape;
+use crate::cuts::cut_basis;
+use crate::diag::{self, Code, Diagnostic};
+
+/// Runs every well-formedness check and returns the findings, errors
+/// first.
+pub fn well_formedness(stg: &Stg) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    unused_signals(stg, &mut out);
+    mixed_choice(stg, &mut out);
+    disconnected_places(stg, &mut out);
+    dead_transitions(stg, &mut out);
+    unmarked_siphons(stg, &mut out);
+    out.sort_by_key(|d| std::cmp::Reverse(d.severity()));
+    out
+}
+
+/// `W001`: a declared signal with no transitions can never change, so
+/// either the declaration or the graph is incomplete.
+fn unused_signals(stg: &Stg, out: &mut Vec<Diagnostic>) {
+    for z in stg.signals() {
+        if stg.transitions_of(z).next().is_none() {
+            let name = stg.signal_name(z);
+            out.push(
+                Diagnostic::new(
+                    Code::UnusedSignal,
+                    format!("signal `{name}` is declared but has no transitions"),
+                )
+                .with_object(name),
+            );
+        }
+    }
+}
+
+/// `W002`: a choice place whose alternatives mix input-signal
+/// transitions with output/internal ones — the circuit would be
+/// racing its environment for the token, which speed-independent
+/// synthesis cannot implement.
+fn mixed_choice(stg: &Stg, out: &mut Vec<Diagnostic>) {
+    let net = stg.net();
+    for p in net.places() {
+        let post = net.place_postset(p);
+        if post.len() < 2 {
+            continue;
+        }
+        let mut inputs = 0usize;
+        let mut locals = 0usize;
+        for &t in post {
+            match stg.label(t) {
+                Label::SignalEdge(z, _) => {
+                    if stg.signal_kind(z) == SignalKind::Input {
+                        inputs += 1;
+                    } else {
+                        locals += 1;
+                    }
+                }
+                Label::Dummy => {}
+            }
+        }
+        if inputs > 0 && locals > 0 {
+            let name = net.place_name(p);
+            out.push(
+                Diagnostic::new(
+                    Code::MixedChoice,
+                    format!(
+                        "choice place `{name}` mixes input and non-input transitions \
+                         ({inputs} input, {locals} local)"
+                    ),
+                )
+                .with_object(name),
+            );
+        }
+    }
+}
+
+/// `L022`: a place with no arcs at all cannot influence behaviour;
+/// its presence means the `.g` source names a node that never got
+/// connected (usually a typo).
+fn disconnected_places(stg: &Stg, out: &mut Vec<Diagnostic>) {
+    let net = stg.net();
+    for p in net.places() {
+        if net.place_preset(p).is_empty() && net.place_postset(p).is_empty() {
+            let name = net.place_name(p);
+            out.push(
+                Diagnostic::new(
+                    Code::DisconnectedPlace,
+                    format!("place `{name}` has no arcs"),
+                )
+                .with_object(name),
+            );
+        }
+    }
+}
+
+/// `L021`: transitions that cannot fire in *any* token flow.
+///
+/// The over-approximating fixpoint: a place is potentially marked if
+/// it starts marked or some potentially-fireable transition feeds it;
+/// a transition is potentially fireable if its whole preset is
+/// potentially marked. Anything not fireable at the fixpoint is dead
+/// in every reachable marking (the approximation ignores token
+/// counts, so it never flags a live transition).
+fn dead_transitions(stg: &Stg, out: &mut Vec<Diagnostic>) {
+    let net = stg.net();
+    let m0 = stg.initial_marking();
+    let mut marked: Vec<bool> = net.places().map(|p| m0.tokens(p) > 0).collect();
+    let mut fireable: Vec<bool> = vec![false; net.num_transitions()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for t in net.transitions() {
+            if fireable[t.index()] {
+                continue;
+            }
+            if net.preset(t).iter().all(|&p| marked[p.index()]) {
+                fireable[t.index()] = true;
+                changed = true;
+                for &p in net.postset(t) {
+                    if !marked[p.index()] {
+                        marked[p.index()] = true;
+                    }
+                }
+            }
+        }
+    }
+    for t in net.transitions() {
+        if !fireable[t.index()] {
+            let name = net.transition_name(t);
+            out.push(
+                Diagnostic::new(
+                    Code::DeadTransition,
+                    format!("transition `{name}` can never fire (structurally unreachable)"),
+                )
+                .with_object(name),
+            );
+        }
+    }
+}
+
+/// `W003`: the maximal siphon inside the initially-unmarked places.
+/// A siphon that starts empty stays empty forever, so every
+/// transition it feeds is dead and the net risks deadlock. The same
+/// analysis doubles as a constraint generator for the CEGAR engine
+/// (see [`crate::cuts`]); here it only warns. The diagnostic carries
+/// the first member place as its object so the renderer can attach a
+/// source span.
+fn unmarked_siphons(stg: &Stg, out: &mut Vec<Diagnostic>) {
+    let net = stg.net();
+    let siphon = cut_basis(net, stg.initial_marking()).unmarked_siphon;
+    if siphon.is_empty() {
+        return;
+    }
+    let mut names: Vec<&str> = siphon.iter().map(|&p| net.place_name(p)).collect();
+    names.sort_unstable();
+    let shown = names.iter().take(4).cloned().collect::<Vec<_>>().join(", ");
+    let suffix = if names.len() > 4 { ", …" } else { "" };
+    out.push(
+        Diagnostic::new(
+            Code::UnmarkedSiphon,
+            format!(
+                "{} initially token-free place(s) form a siphon ({shown}{suffix}); \
+                 they can never be marked and their output transitions are dead",
+                siphon.len()
+            ),
+        )
+        .with_object(names[0]),
+    );
+}
 
 /// Membership of the net in the classical structural classes. The
 /// classes form a hierarchy — every marked graph is free-choice,
@@ -215,28 +388,46 @@ pub struct StructureReport {
     pub elapsed: Duration,
 }
 
+/// The compact projection of a [`StructureReport`] that a check's
+/// resource report carries (and `stgd` puts on the wire).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StructureSummary {
+    /// The net's structural classes; `classes.name()` is the most
+    /// specific one.
+    pub classes: Classes,
+    /// The structural concurrency relation is exact provided the net
+    /// is live (true exactly when the net is free-choice).
+    pub exact: bool,
+    /// Unordered structurally concurrent place pairs.
+    pub concurrent_place_pairs: u64,
+    /// Unordered locked signal pairs (out of `signal_pairs`).
+    pub locked_signal_pairs: u64,
+    /// Total unordered distinct signal pairs.
+    pub signal_pairs: u64,
+    /// The check's verdict was decided by [`decide_state_machine`]
+    /// alone: no engine ran and no prefix event was built.
+    pub proved: bool,
+}
+
 impl StructureReport {
+    /// Projects the report onto its [`StructureSummary`]; `proved`
+    /// says whether [`decide_state_machine`] decided the check.
+    pub fn summary(&self, proved: bool) -> StructureSummary {
+        StructureSummary {
+            classes: self.classes,
+            exact: self.concurrency.level() == Approximation::ExactForLiveFreeChoice,
+            concurrent_place_pairs: self.concurrency.concurrent_place_pairs() as u64,
+            locked_signal_pairs: self.lock.locked_pairs() as u64,
+            signal_pairs: self.lock.total_pairs() as u64,
+            proved,
+        }
+    }
+
     /// Human-readable rendering in the lint style: one line per
     /// refutation diagnostic, then class / concurrency / lock
     /// summaries. `path` prefixes each line for editor jumping.
     pub fn render_human(&self, path: &str) -> String {
-        let mut out = String::new();
-        for d in &self.diagnostics {
-            match d.span {
-                Some(span) => out.push_str(&format!(
-                    "{path}:{span}: {}[{}] {}\n",
-                    d.severity(),
-                    d.code,
-                    d.message
-                )),
-                None => out.push_str(&format!(
-                    "{path}: {}[{}] {}\n",
-                    d.severity(),
-                    d.code,
-                    d.message
-                )),
-            }
-        }
+        let mut out = diag::render_human(path, &self.diagnostics);
         out.push_str(&format!("{path}: class: {}\n", self.classes.name()));
         out.push_str(&format!(
             "{path}: concurrency: {} place pair(s), {} transition pair(s) [{}]\n",
@@ -270,31 +461,10 @@ impl StructureReport {
             ", \"reduced_asymmetric_choice\": {}",
             c.reduced_asymmetric_choice
         ));
-        out.push_str("},\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"code\": \"{}\"", d.code));
-            out.push_str(&format!(", \"severity\": \"{}\"", d.severity()));
-            match d.span {
-                Some(span) => {
-                    out.push_str(&format!(", \"line\": {}, \"col\": {}", span.line, span.col));
-                }
-                None => out.push_str(", \"line\": null, \"col\": null"),
-            }
-            match &d.object {
-                Some(obj) => out.push_str(&format!(", \"object\": \"{}\"", escape(obj))),
-                None => out.push_str(", \"object\": null"),
-            }
-            out.push_str(&format!(", \"message\": \"{}\"", escape(&d.message)));
-            out.push('}');
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
+        out.push_str(&format!(
+            "}},\n  \"diagnostics\": {},\n",
+            diag::render_json(&self.diagnostics)
+        ));
         out.push_str("  \"concurrency\": {");
         out.push_str(&format!(
             "\"level\": \"{}\"",
@@ -485,6 +655,85 @@ fn detect_classes(net: &Net, out: &mut Vec<Diagnostic>) -> Classes {
     classes
 }
 
+/// What [`decide_state_machine`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateMachineCoding {
+    /// The property holds in every reachable marking.
+    Holds,
+    /// Two reachable single-token markings that conflict.
+    Conflict(Box<(Marking, Marking)>),
+}
+
+/// Exact USC (or, with `csc`, CSC) decision for single-token state
+/// machines; `None` when the net is not one or the walk bails.
+///
+/// In a state machine every transition moves the unique token from
+/// one place to another, so the reachable markings are exactly the
+/// places reachable from the initially marked place in the place
+/// graph, and the code of a reachable marking is a function of its
+/// place. The walk labels each reachable place with its code,
+/// *bailing* (`None`) on any irregularity — more than one initial
+/// token, a rise/fall firing from the wrong value, or two paths
+/// assigning different codes to one place (an inconsistent STG): the
+/// decision only covers nets whose semantics it models exactly, so a
+/// check that consults it never changes a verdict. USC holds iff all
+/// reachable codes are distinct; CSC additionally tolerates equal
+/// codes when the two markings enable the same local signals.
+pub fn decide_state_machine(stg: &Stg, classes: &Classes, csc: bool) -> Option<StateMachineCoding> {
+    if !classes.state_machine || stg.initial_marking().total() != 1 {
+        return None;
+    }
+    let net = stg.net();
+    let start = stg.initial_marking().marked_places().next()?;
+    let mut codes: Vec<Option<CodeVec>> = vec![None; net.num_places()];
+    codes[start.index()] = Some(stg.initial_code().clone());
+    let mut reached = vec![start];
+    let mut queue = VecDeque::from([start]);
+    while let Some(p) = queue.pop_front() {
+        let code = codes[p.index()].clone()?;
+        for &t in net.place_postset(p) {
+            let q = *net.postset(t).first()?;
+            let mut next = code.clone();
+            if let Label::SignalEdge(z, e) = stg.label(t) {
+                let want = matches!(e, Edge::Rise);
+                if next.bit(z) == want {
+                    // A rise from 1 or fall from 0: the STG is
+                    // inconsistent; let the engines report it.
+                    return None;
+                }
+                next.set_bit(z, want);
+            }
+            match &codes[q.index()] {
+                Some(existing) if *existing != next => return None,
+                Some(_) => {}
+                None => {
+                    codes[q.index()] = Some(next);
+                    reached.push(q);
+                    queue.push_back(q);
+                }
+            }
+        }
+    }
+    let marking_of = |p: PlaceId| Marking::with_tokens(net.num_places(), &[(p, 1)]);
+    for (i, &p) in reached.iter().enumerate() {
+        for &q in &reached[i + 1..] {
+            if codes[p.index()] != codes[q.index()] {
+                continue;
+            }
+            let conflict = !csc
+                || stg.enabled_local_signals(&marking_of(p))
+                    != stg.enabled_local_signals(&marking_of(q));
+            if conflict {
+                return Some(StateMachineCoding::Conflict(Box::new((
+                    marking_of(p),
+                    marking_of(q),
+                ))));
+            }
+        }
+    }
+    Some(StateMachineCoding::Holds)
+}
+
 /// The Kovalyov–Esparza structural concurrency fixed-point.
 ///
 /// Seed: every pair of distinct initially marked places, and every
@@ -494,7 +743,7 @@ fn detect_classes(net: &Net, out: &mut Vec<Diagnostic>) -> Classes {
 /// {t}`, then `t` and all of `t•` are concurrent with `x`. For safe
 /// nets this over-approximates true concurrency; for live free-choice
 /// nets it is exact.
-fn concurrency_fixpoint(net: &Net, initial: &petri::Marking, level: Approximation) -> Concurrency {
+fn concurrency_fixpoint(net: &Net, initial: &Marking, level: Approximation) -> Concurrency {
     let places = net.num_places();
     let transitions = net.num_transitions();
     let n = places + transitions;
@@ -595,7 +844,95 @@ fn lock_graph(stg: &Stg, rel: &Concurrency) -> LockGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stg::{Edge, SignalKind, StgBuilder};
+    use stg::StgBuilder;
+
+    fn diags(src: &str) -> Vec<Diagnostic> {
+        well_formedness(&stg::parse(src).unwrap())
+    }
+
+    #[test]
+    fn clean_net_has_no_findings() {
+        let src = "\
+.model hs
+.inputs req
+.outputs ack
+.graph
+req+ ack+
+ack+ req-
+req- ack-
+ack- req+
+.marking { <ack-,req+> }
+.end
+";
+        assert!(diags(src).is_empty(), "{:?}", diags(src));
+    }
+
+    #[test]
+    fn unused_signal_warns() {
+        let src = "\
+.model m
+.inputs ghost
+.outputs a
+.graph
+a+ a-
+a- a+
+.marking { <a-,a+> }
+.end
+";
+        let out = diags(src);
+        assert!(out.iter().any(|d| d.code == Code::UnusedSignal));
+    }
+
+    #[test]
+    fn dead_transitions_flagged_by_fixpoint() {
+        // b's transitions hang off a place that is never marked and
+        // never fed: structurally dead.
+        let src = "\
+.model m
+.outputs a b
+.graph
+a+ a-
+a- a+
+limbo b+
+b+ limbo2
+limbo2 b-
+b- limbo
+.marking { <a-,a+> }
+.initial_state 00
+.end
+";
+        let out = diags(src);
+        let dead: Vec<_> = out
+            .iter()
+            .filter(|d| d.code == Code::DeadTransition)
+            .collect();
+        assert_eq!(dead.len(), 2, "{out:?}");
+        assert!(dead.iter().any(|d| d.object.as_deref() == Some("b+")));
+        // The same structure is an unmarked siphon.
+        assert!(out.iter().any(|d| d.code == Code::UnmarkedSiphon));
+    }
+
+    #[test]
+    fn mixed_choice_place_warns() {
+        // Free place feeding both an input and an output transition.
+        let src = "\
+.model m
+.inputs i
+.outputs o
+.graph
+p i+
+p o+
+i+ q
+o+ q
+q o-
+o- p
+.marking { p }
+.initial_state 00
+.end
+";
+        let out = diags(src);
+        assert!(out.iter().any(|d| d.code == Code::MixedChoice), "{out:?}");
+    }
 
     /// Plain handshake cycle: marked graph AND state machine, no
     /// concurrency at all, both signals locked.

@@ -302,8 +302,8 @@ pub fn synthesize(
         .unwrap_or_else(|| Arc::new(Artifacts::new(Arc::new(stg.clone()))));
 
     // Stage 1: lint. Error-severity diagnostics abort — they mean the
-    // input is structurally broken, which no insertion fixes. The LP
-    // proofs are left out: nothing here reads them.
+    // input is structurally broken, which no insertion fixes. The
+    // semiflow and LP proofs are left out: nothing here reads them.
     let t = Instant::now();
     let lint_report = lint::lint_stg(
         stg,

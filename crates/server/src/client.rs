@@ -12,7 +12,7 @@
 //!   caller forever.
 //! - **Retry with backoff.** [`Client::check_with_retry`] resubmits a
 //!   job across transport failures (reconnecting first) and across
-//!   the server's revision-4 load-shedding responses (`queue_full`,
+//!   the server's load-shedding responses (`queue_full`,
 //!   `over_quota`) and `worker_crashed` errors, waiting out the
 //!   server's `retry_after_ms` hint when one is present and
 //!   exponential backoff with jitter otherwise. Resubmission is safe
@@ -79,12 +79,10 @@ pub struct CheckResponse {
     /// The correlation id echoed by the server (absent only for
     /// errors on requests whose id never parsed).
     pub id: Option<String>,
-    /// Protocol revision of the response. Revision-1 servers did not
-    /// stamp the field, so an absent `proto` decodes as `1`; revision
-    /// 2 added the optional `report.bdd` stats object (see
-    /// [`Self::bdd_stats`]); revision 4 added `retry_after_ms` on
-    /// load-shedding errors.
-    pub proto: u64,
+    /// Protocol revision of the response
+    /// ([`crate::protocol::PROTO_VERSION`]); `None` on the plain error
+    /// responses, which carry none.
+    pub proto: Option<u64>,
     /// `"ok"` or `"error"`.
     pub status: String,
     /// `"holds"`, `"violated"` or `"unknown"` when `status == "ok"`.
@@ -100,7 +98,7 @@ pub struct CheckResponse {
     /// Stable machine-readable error code when `status == "error"`
     /// and the server classified the failure (e.g. `queue_full`).
     pub code: Option<String>,
-    /// The revision-4 backoff hint on load-shedding errors: how long
+    /// The backoff hint on load-shedding errors: how long
     /// the server expects to need before it can admit the job.
     pub retry_after_ms: Option<u64>,
     /// Worker-side wall-clock of the check itself.
@@ -119,7 +117,7 @@ impl CheckResponse {
         let text = |key: &str| raw.get(key).and_then(Value::as_str).map(str::to_owned);
         Ok(CheckResponse {
             id: text("id"),
-            proto: raw.get("proto").and_then(Value::as_u64).unwrap_or(1),
+            proto: raw.get("proto").and_then(Value::as_u64),
             status,
             verdict: text("verdict"),
             reason: text("reason"),
@@ -142,7 +140,7 @@ impl CheckResponse {
     }
 
     /// Whether this is a transient error a client may safely retry:
-    /// the revision-4 load-shedding codes (`queue_full`,
+    /// the load-shedding codes (`queue_full`,
     /// `over_quota`) and `worker_crashed`. Permanent rejections
     /// (`lint_rejected`, protocol errors) are not retryable — the
     /// same input will fail the same way.
@@ -154,10 +152,8 @@ impl CheckResponse {
             )
     }
 
-    /// The revision-2 `report.bdd` stats object, when the job's
-    /// engine touched the symbolic stage. `None` on revision-1
-    /// responses and for engines that never built a BDD, so callers
-    /// need no protocol-version branch of their own.
+    /// The `report.bdd` stats object, when the job's engine touched
+    /// the symbolic stage; `None` when the block is null.
     pub fn bdd_stats(&self) -> Option<&Value> {
         self.raw
             .get("report")
@@ -165,11 +161,9 @@ impl CheckResponse {
             .filter(|v| !v.is_null())
     }
 
-    /// The revision-7 `report.unfold` counter block
-    /// (`pe_discovered`, `pe_commits`), when the job's engine built an
-    /// unfolding prefix.
-    /// `None` on older revisions and for engines that never unfold,
-    /// so callers need no protocol-version branch of their own.
+    /// The `report.unfold` counter block (`pe_discovered`,
+    /// `pe_commits`), when the job's engine built an unfolding prefix;
+    /// `None` when the block is null.
     pub fn unfold_stats(&self) -> Option<&Value> {
         self.raw
             .get("report")
@@ -177,12 +171,11 @@ impl CheckResponse {
             .filter(|v| !v.is_null())
     }
 
-    /// The revision-8 `report.structure` summary object (the detected
+    /// The `report.structure` summary object (the detected
     /// net `class`, the individual class flags, `exact`,
     /// `concurrent_place_pairs`, `locked_signal_pairs`, `proved`),
-    /// when the server ran the structural pass for the job. `None` on
-    /// older revisions and for jobs that skipped the pass, so callers
-    /// need no protocol-version branch of their own.
+    /// when the server ran the structural pass for the job; `None`
+    /// when the block is null.
     pub fn structure_summary(&self) -> Option<&Value> {
         self.raw
             .get("report")
@@ -190,7 +183,7 @@ impl CheckResponse {
             .filter(|v| !v.is_null())
     }
 
-    /// The revision-3 `diagnostics` array of a `lint_rejected`
+    /// The `diagnostics` array of a `lint_rejected`
     /// admission error: one object per finding with `code`,
     /// `severity`, `line`/`col` span and `message`.
     pub fn diagnostics(&self) -> Option<&Value> {
@@ -198,13 +191,14 @@ impl CheckResponse {
     }
 }
 
-/// One decoded response to a revision-6 `synthesize` request.
+/// One decoded response to a `synthesize` request.
 #[derive(Debug, Clone)]
 pub struct SynthesizeResponse {
     /// The correlation id echoed by the server.
     pub id: Option<String>,
-    /// Protocol revision of the response.
-    pub proto: u64,
+    /// Protocol revision of the response; `None` on the plain error
+    /// responses, which carry none.
+    pub proto: Option<u64>,
     /// `"ok"` or `"error"`.
     pub status: String,
     /// `"clean"` (already conflict-free) or `"resolved"` (state
@@ -247,7 +241,7 @@ impl SynthesizeResponse {
         };
         Ok(SynthesizeResponse {
             id: text("id"),
-            proto: raw.get("proto").and_then(Value::as_u64).unwrap_or(1),
+            proto: raw.get("proto").and_then(Value::as_u64),
             status,
             outcome: text("outcome"),
             inserted,
@@ -394,7 +388,7 @@ impl Client {
     }
 
     /// Connects with an explicit read timeout (`None` = block
-    /// forever, the pre-revision-4 behaviour).
+    /// forever).
     ///
     /// # Errors
     ///
@@ -740,51 +734,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn revision_1_responses_without_proto_still_decode() {
+    fn shed_responses_decode_as_retryable() {
         let raw = json::parse(
-            r#"{"id":"a","status":"ok","verdict":"holds",
-                "report":{"elapsed_ms":1.0,"bdd_nodes":null}}"#,
-        )
-        .unwrap();
-        let response = CheckResponse::from_value(raw).unwrap();
-        assert_eq!(response.proto, 1);
-        assert_eq!(response.verdict.as_deref(), Some("holds"));
-        assert!(response.bdd_stats().is_none());
-        assert!(!response.is_retryable());
-    }
-
-    #[test]
-    fn revision_2_responses_surface_the_bdd_stats() {
-        let raw = json::parse(
-            r#"{"id":"b","proto":2,"status":"ok","verdict":"violated",
-                "report":{"elapsed_ms":1.0,
-                          "bdd":{"live_nodes":10,"peak_live_nodes":20,
-                                 "gc_runs":1,"reorder_passes":0,
-                                 "order":[0,1]}}}"#,
-        )
-        .unwrap();
-        let response = CheckResponse::from_value(raw).unwrap();
-        assert_eq!(response.proto, 2);
-        let bdd = response.bdd_stats().expect("bdd stats");
-        assert_eq!(bdd.get("peak_live_nodes").and_then(Value::as_u64), Some(20));
-    }
-
-    #[test]
-    fn revision_2_null_bdd_reads_as_absent() {
-        let raw = json::parse(
-            r#"{"id":"c","proto":2,"status":"ok","verdict":"holds",
-                "report":{"elapsed_ms":1.0,"bdd":null}}"#,
-        )
-        .unwrap();
-        let response = CheckResponse::from_value(raw).unwrap();
-        assert_eq!(response.proto, 2);
-        assert!(response.bdd_stats().is_none());
-    }
-
-    #[test]
-    fn revision_4_shed_responses_decode_as_retryable() {
-        let raw = json::parse(
-            r#"{"id":"d","proto":4,"status":"error","code":"queue_full",
+            r#"{"id":"d","proto":10,"status":"error","code":"queue_full",
                 "error":"job queue is full","retry_after_ms":120}"#,
         )
         .unwrap();
@@ -797,7 +749,10 @@ mod tests {
                 "error":"input rejected","diagnostics":[]}"#,
         )
         .unwrap();
-        assert!(!CheckResponse::from_value(raw).unwrap().is_retryable());
+        let response = CheckResponse::from_value(raw).unwrap();
+        assert!(!response.is_retryable());
+        // Plain error responses carry no revision.
+        assert_eq!(response.proto, None);
         // worker_crashed is retryable even without a hint.
         let raw = json::parse(
             r#"{"id":"f","status":"error","code":"worker_crashed",
@@ -810,10 +765,13 @@ mod tests {
     }
 
     #[test]
-    fn revision_8_responses_surface_the_structure_summary() {
+    fn responses_surface_the_report_blocks() {
         let raw = json::parse(
-            r#"{"id":"g","proto":8,"status":"ok","verdict":"holds",
-                "report":{"elapsed_ms":1.0,
+            r#"{"id":"g","proto":10,"status":"ok","verdict":"holds",
+                "report":{"elapsed_ms":1.0,"unfold":null,
+                          "bdd":{"live_nodes":10,"peak_live_nodes":20,
+                                 "gc_runs":1,"reorder_passes":0,
+                                 "order":[0,1]},
                           "structure":{"class":"marked-graph",
                                        "marked_graph":true,
                                        "state_machine":false,
@@ -828,7 +786,7 @@ mod tests {
         )
         .unwrap();
         let response = CheckResponse::from_value(raw).unwrap();
-        assert_eq!(response.proto, 8);
+        assert_eq!(response.proto, Some(10));
         let structure = response.structure_summary().expect("structure summary");
         assert_eq!(
             structure.get("class").and_then(Value::as_str),
@@ -841,30 +799,10 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(3)
         );
-    }
-
-    #[test]
-    fn older_revisions_read_structure_as_absent() {
-        // Revision 7 had no block at all; a revision-8 null block is
-        // equally absent — accessors are revision-tolerant both ways.
-        let raw = json::parse(
-            r#"{"id":"h","proto":7,"status":"ok","verdict":"holds",
-                "report":{"elapsed_ms":1.0}}"#,
-        )
-        .unwrap();
-        assert!(CheckResponse::from_value(raw)
-            .unwrap()
-            .structure_summary()
-            .is_none());
-        let raw = json::parse(
-            r#"{"id":"i","proto":8,"status":"ok","verdict":"holds",
-                "report":{"elapsed_ms":1.0,"structure":null}}"#,
-        )
-        .unwrap();
-        assert!(CheckResponse::from_value(raw)
-            .unwrap()
-            .structure_summary()
-            .is_none());
+        let bdd = response.bdd_stats().expect("bdd stats");
+        assert_eq!(bdd.get("peak_live_nodes").and_then(Value::as_u64), Some(20));
+        // A null block reads as absent.
+        assert!(response.unfold_stats().is_none());
     }
 
     #[test]

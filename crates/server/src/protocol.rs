@@ -336,53 +336,9 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
     Value::Obj(members).render()
 }
 
-/// The protocol revision stamped on check responses. Revision 2
-/// added the `proto` field itself and the optional `report.bdd`
-/// stats object; revision-1 responses carry neither, so clients
-/// treat an absent `proto` as 1. Revision 3 added the optional lint
-/// summary object in `report` and the `lint_rejected` admission
-/// error (a `status: error` response with `code: "lint_rejected"`
-/// and a `diagnostics` array). Revision 4 added load-shedding
-/// responses (`code: "queue_full"` / `"over_quota"` carrying a
-/// `retry_after_ms` backoff hint), the `worker_crashed` error code
-/// for jobs whose worker panicked (safe to resubmit — jobs are
-/// idempotent), and the `overload`/`supervisor` blocks in `stats`;
-/// older clients that ignore unknown members keep working unchanged.
-/// Revision 5 added the `cegar` engine (state-equation CEGAR, no
-/// prefix and no BDDs), its optional `report.cegar` counter block
-/// (iterations, cuts, branch nodes, …), and the `unsupported` reason
-/// code for property/engine combinations an engine cannot decide.
-/// Revision 6 added the `synthesize` op (lint → check → resolve →
-/// re-check → equations in one job): success responses carry the
-/// resolved `.g` text, the inserted signal names, the next-state
-/// `equations`, per-stage report blocks (`stages`, `resolve`,
-/// `recheck_prefix_events_built`), and failed resolutions are
-/// reported with the stable `resolve_failed` error code (permanent —
-/// clients must not retry it). Revision 7 added the optional
-/// `report.unfold` counter block describing how the finite complete
-/// prefix was constructed (`pe_discovered`, `pe_commits`); the block
-/// is purely observational and older clients that ignore unknown
-/// members keep working unchanged. (Revision 7 also carried
-/// `workers`, `par_ms` and `serial_ms` for a parallel discovery pool
-/// that has since been removed; the server no longer sends them.)
-/// Revision 8 added the optional `report.structure` block describing
-/// the structural net-class pass that now fronts every check (the
-/// detected `class` plus the individual class flags, whether the
-/// structural concurrency relation is `exact`, the concurrent
-/// place-pair and locked signal-pair counts, and `proved` — set when
-/// the class-gated fast path decided the verdict with no engine run),
-/// and the `candidates_generated` / `candidates_pruned` counters in
-/// the synthesize response's `resolve` block (conflict-core-guided
-/// candidate generation and its structural-concurrency pruning).
-/// The block is null for jobs that skipped the pass, so older clients
-/// that ignore unknown members keep working unchanged. Revision 9
-/// removed revision 3's lint summary, the `lint` winner and the
-/// `lint_proved` stats counter: a check runs no LP stage of its own.
-/// Revision 10 races two engines, `unfolding-ilp` and `explicit`,
-/// where it raced four: `stats.race.wins` and `stats.race.cancelled`
-/// lost their `symbolic` and `cegar` entries, and a `race` response's
-/// `report.bdd`, `report.bdd_nodes` and `report.cegar` are always null.
-/// Both engines still answer when a request names them.
+/// The protocol revision stamped on check, synthesize and
+/// load-shedding responses. The schema is frozen at this revision:
+/// docs/SERVER.md describes it, and clients read no older one.
 pub const PROTO_VERSION: u64 = 10;
 
 /// Encodes the verdict response for a completed check.

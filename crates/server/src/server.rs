@@ -1046,10 +1046,10 @@ fn admit_job(request: JobRequest, shared: &Arc<Shared>, reply: &ReplySender, cli
         return;
     }
     // Admission lint: parse failures and structurally broken
-    // nets are rejected here on the reader thread — cheap
-    // graph checks only (no LP) — so garbage never consumes a
-    // queue slot or a worker. The job carries the parsed STG
-    // so workers never re-parse.
+    // nets are rejected here on the reader thread — the
+    // well-formedness checks only (no semiflow pass, no LP) — so
+    // garbage never consumes a queue slot or a worker. The job
+    // carries the parsed STG so workers never re-parse.
     let options = lint::LintOptions {
         lp: false,
         ..Default::default()

@@ -14,10 +14,7 @@
 //! * a [`parser`] / [`writer`] pair for the `.g` (astg) interchange
 //!   format, and [`dot`] for Graphviz export;
 //! * [`gen`]: parametric generators for the benchmark families of the
-//!   paper's Table 1 plus random consistent STGs for property testing;
-//! * [`compose`]: parallel composition (`pcomp`) of STGs;
-//! * [`sim`]: a token-game simulator with runtime consistency
-//!   monitoring.
+//!   paper's Table 1 plus random consistent STGs for property testing.
 //!
 //! # Examples
 //!
@@ -43,14 +40,12 @@
 #![warn(missing_docs)]
 
 pub mod code;
-pub mod compose;
 pub mod dot;
 mod error;
 pub mod gen;
 pub mod hash;
 pub mod parser;
 mod signal;
-pub mod sim;
 pub mod state_graph;
 mod stg;
 pub mod writer;

@@ -217,26 +217,35 @@ fn exit_code(conflict: bool) -> u8 {
     u8::from(conflict)
 }
 
+/// Parses `--format human|json`; `true` for JSON.
+fn json_format(flags: &[String]) -> Result<bool, String> {
+    match flags.iter().position(|f| f == "--format") {
+        None => Ok(false),
+        Some(i) => match flags.get(i + 1).map(String::as_str) {
+            Some("json") => Ok(true),
+            Some("human") => Ok(false),
+            other => Err(format!(
+                "bad --format {} (human|json)",
+                other.unwrap_or("<missing>")
+            )),
+        },
+    }
+}
+
 /// `stgcheck lint`: the full static pass, no state-space exploration.
 fn lint_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
-    let json = match flags.iter().position(|f| f == "--format") {
-        None => false,
-        Some(i) => match flags.get(i + 1).map(String::as_str) {
-            Some("json") => true,
-            Some("human") => false,
-            other => {
-                return Err(format!(
-                    "bad --format {} (human|json)",
-                    other.unwrap_or("<missing>")
-                ))
-            }
-        },
-    };
+    let json = json_format(flags)?;
+    let lp = !flags.iter().any(|f| f == "--no-lp");
     let options = lint::LintOptions {
-        lp: !flags.iter().any(|f| f == "--no-lp"),
+        lp,
         ..Default::default()
     };
-    let outcome = lint::lint_bytes(source, &options);
+    let mut outcome = lint::lint_bytes(source, &options);
+    if let (false, Some(stg)) = (lp, &outcome.stg) {
+        // Without the LPs the pass proves nothing; `--no-lp` still
+        // reports the semiflow safeness proof.
+        outcome.report.proofs = lint::relaxation_proofs(stg, false, &options.lp_options);
+    }
     if json {
         print!("{}", outcome.report.to_json());
     } else {
@@ -248,48 +257,16 @@ fn lint_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
 /// `stgcheck structure`: net classes, structural concurrency and the
 /// signal lock relation — purely structural, no state space.
 fn structure_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
-    let json = match flags.iter().position(|f| f == "--format") {
-        None => false,
-        Some(i) => match flags.get(i + 1).map(String::as_str) {
-            Some("json") => true,
-            Some("human") => false,
-            other => {
-                return Err(format!(
-                    "bad --format {} (human|json)",
-                    other.unwrap_or("<missing>")
-                ))
-            }
-        },
-    };
-    let outcome = lint::structure_bytes(source);
-    match outcome.report {
-        Some(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.render_human(path));
-            }
-            Ok(0)
-        }
-        None => {
-            let diag = outcome.error.expect("no report implies a parse diagnostic");
-            match diag.span {
-                Some(span) => eprintln!(
-                    "{path}:{span}: {}[{}] {}",
-                    diag.severity(),
-                    diag.code,
-                    diag.message
-                ),
-                None => eprintln!(
-                    "{path}: {}[{}] {}",
-                    diag.severity(),
-                    diag.code,
-                    diag.message
-                ),
-            }
-            Ok(2)
+    let json = json_format(flags)?;
+    match lint::structure_bytes(source) {
+        Ok(report) if json => print!("{}", report.to_json()),
+        Ok(report) => print!("{}", report.render_human(path)),
+        Err(diagnostic) => {
+            eprint!("{}", lint::render_diagnostics(path, &[diagnostic]));
+            return Ok(2);
         }
     }
+    Ok(0)
 }
 
 /// Parses `--engine NAME`; `None` when the flag is absent (the local

@@ -10,6 +10,8 @@ use stg_coding_conflicts::csc_core::{
     Budget, CancelToken, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
 use stg_coding_conflicts::stg::gen::counterflow::{counterflow_asym, counterflow_sym};
+use stg_coding_conflicts::stg::gen::random::{random_stg, RandomStgConfig};
+use stg_coding_conflicts::stg::Stg;
 
 const ALL_ENGINES: [Engine; 5] = [
     Engine::UnfoldingIlp,
@@ -25,31 +27,43 @@ type ReasonCheck = fn(&ExhaustionReason) -> bool;
 /// `ExhaustionReason` on a model the engine could otherwise decide.
 #[test]
 fn tiny_budgets_yield_unknown_with_the_right_reason() {
-    let stg = counterflow_sym(3, 3);
-    let cases: [(Engine, Budget, ReasonCheck); 4] = [
+    let cf33 = counterflow_sym(3, 3);
+    // A net whose CEGAR search needs more than one branch node.
+    let random = random_stg(&RandomStgConfig::default(), 34);
+    let cases: [(&Stg, Engine, Budget, ReasonCheck); 5] = [
         (
+            &cf33,
             Engine::UnfoldingIlp,
             Budget::unlimited().with_max_events(4),
             |r| matches!(r, ExhaustionReason::EventLimit(4)),
         ),
         (
+            &cf33,
             Engine::UnfoldingIlp,
             Budget::unlimited().with_max_solver_steps(1),
             |r| matches!(r, ExhaustionReason::SolverStepLimit(1)),
         ),
         (
+            &cf33,
             Engine::ExplicitStateGraph,
             Budget::unlimited().with_max_states(4),
             |r| matches!(r, ExhaustionReason::StateLimit(4)),
         ),
         (
+            &cf33,
             Engine::SymbolicBdd,
             Budget::unlimited().with_max_bdd_nodes(64),
             |r| matches!(r, ExhaustionReason::BddNodeLimit(64)),
         ),
+        (
+            &random,
+            Engine::Cegar,
+            Budget::unlimited().with_max_solver_steps(1),
+            |r| matches!(r, ExhaustionReason::SolverStepLimit(1)),
+        ),
     ];
-    for (engine, budget, expected) in cases {
-        let run = CheckRequest::new(&stg, Property::Csc)
+    for (stg, engine, budget, expected) in cases {
+        let run = CheckRequest::new(stg, Property::Csc)
             .engine(engine)
             .budget(budget)
             .run()

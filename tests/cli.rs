@@ -165,3 +165,90 @@ fn a_closed_stdout_ends_the_run_quietly() {
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }
+
+/// Reads a recorded `stgcheck` output from `tests/fixtures/golden/`
+/// (the structure JSON's `elapsed_ms` recorded as `X`).
+fn golden(name: &str) -> String {
+    let path = format!(
+        "{}/tests/fixtures/golden/{name}",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Replaces the value of the structure JSON's `"elapsed_ms"` member,
+/// the one part of the output that varies from run to run.
+fn mask_elapsed(text: &str) -> String {
+    let key = "\"elapsed_ms\": ";
+    match text.find(key) {
+        None => text.to_owned(),
+        Some(i) => {
+            let start = i + key.len();
+            let end = start + text[start..].find('\n').unwrap_or(text.len() - start);
+            format!("{}X{}", &text[..start], &text[end..])
+        }
+    }
+}
+
+/// `stgcheck lint` and `stgcheck structure`, in both formats, on the
+/// generated VME and DUP-4 nets print exactly the golden outputs.
+#[test]
+fn lint_and_structure_match_the_golden_outputs() {
+    let dir = std::env::temp_dir().join(format!("stgcheck-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (net, gen) in [
+        ("vme", &["gen", "vme"][..]),
+        ("dup4", &["gen", "dup", "4"][..]),
+    ] {
+        let model = stgcheck(gen);
+        assert_eq!(model.status.code(), Some(0), "{net}");
+        let file = format!("{net}.g");
+        std::fs::write(dir.join(&file), &model.stdout).unwrap();
+        let mut cases = vec![(
+            format!("{net}.lint-no-lp.human"),
+            vec!["lint", &file, "--no-lp"],
+        )];
+        for command in ["lint", "structure"] {
+            for format in ["human", "json"] {
+                cases.push((
+                    format!("{net}.{command}.{format}"),
+                    vec![command, &file, "--format", format],
+                ));
+            }
+        }
+        for (name, args) in cases {
+            let out = Command::new(env!("CARGO_BIN_EXE_stgcheck"))
+                .args(&args)
+                .current_dir(&dir)
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(0), "{name}");
+            assert_eq!(mask_elapsed(&stdout(&out)), golden(&name), "{name}");
+            assert!(out.stderr.is_empty(), "{name}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// On a malformed net each command exits 2 with the `L0xx` parse
+/// diagnostic: `lint` reports it on stdout in the chosen format,
+/// `structure` on stderr.
+#[test]
+fn lint_and_structure_reject_a_malformed_net_with_its_code() {
+    let fixture = "tests/fixtures/malformed/undeclared_signal.g";
+    for format in ["human", "json"] {
+        let out = stgcheck(&["lint", fixture, "--format", format]);
+        assert_eq!(out.status.code(), Some(2), "lint {format}");
+        let text = stdout(&out);
+        assert!(text.contains("L003"), "{text}");
+        assert_eq!(text, golden(&format!("undeclared_signal.lint.{format}")));
+        assert!(out.stderr.is_empty());
+
+        let out = stgcheck(&["structure", fixture, "--format", format]);
+        assert_eq!(out.status.code(), Some(2), "structure {format}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("error[L003]"), "{text}");
+        assert_eq!(text, golden("undeclared_signal.structure.stderr"));
+        assert!(out.stdout.is_empty());
+    }
+}

@@ -165,8 +165,7 @@ b- limbo
 /// `.g` source and returns the diagnostic for `code`, asserting it
 /// exists, is informational, and carries a span.
 fn structure_diag(src: &str, code: Code) -> (String, (usize, usize)) {
-    let outcome = lint::structure_bytes(src.as_bytes());
-    let report = outcome.report.expect("net must be parsable");
+    let report = lint::structure_bytes(src.as_bytes()).expect("net must be parsable");
     let d = report
         .diagnostics
         .iter()
@@ -207,7 +206,7 @@ b- split
     let (object, span) = structure_diag(src, Code::NotMarkedGraph);
     assert_eq!(object, "split");
     assert_eq!(span, (4, 1), "first occurrence: the arc `split a+`");
-    let report = lint::structure_bytes(src.as_bytes()).report.unwrap();
+    let report = lint::structure_bytes(src.as_bytes()).unwrap();
     assert!(
         report.classes.state_machine && report.classes.free_choice,
         "a free-choice split refutes only the marked-graph class"
@@ -237,7 +236,7 @@ a- a+
     let (object, span) = structure_diag(src, Code::NotStateMachine);
     assert_eq!(object, "a+");
     assert_eq!(span, (4, 1), "first occurrence: the fork arc `a+ x+ y+`");
-    let report = lint::structure_bytes(src.as_bytes()).report.unwrap();
+    let report = lint::structure_bytes(src.as_bytes()).unwrap();
     assert!(
         report.classes.marked_graph,
         "forks keep the net a marked graph"
@@ -275,7 +274,7 @@ c- other
     let (object, span) = structure_diag(src, Code::NotExtendedFreeChoice);
     assert_eq!(object, "shared");
     assert_eq!(span, (4, 1));
-    let report = lint::structure_bytes(src.as_bytes()).report.unwrap();
+    let report = lint::structure_bytes(src.as_bytes()).unwrap();
     assert!(
         report.classes.reduced_asymmetric_choice,
         "a singleton overlap stays reduced asymmetric choice"
@@ -320,7 +319,7 @@ c- p2
     let (object, span) = structure_diag(src, Code::NotReducedAsymmetricChoice);
     assert_eq!(object, "p1");
     assert_eq!(span, (4, 1), "first occurrence: the arc `p1 a+`");
-    let report = lint::structure_bytes(src.as_bytes()).report.unwrap();
+    let report = lint::structure_bytes(src.as_bytes()).unwrap();
     assert_eq!(report.classes.name(), "general");
     // The full hierarchy collapses: every I0xx code fires once.
     for code in [
