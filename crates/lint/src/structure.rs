@@ -27,8 +27,9 @@
 //!
 //! The pass is total and cheap (polynomial in the net size), so its
 //! [`analyse`] result is cached unconditionally by `csc-core`'s
-//! artifact store and consumed by the check's structure stage and the
-//! synthesis resolver.
+//! artifact store and consumed by the check's structure stage. The
+//! synthesis resolver does not read it: it scores every candidate
+//! insertion on the candidate's state graph.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};

@@ -19,8 +19,6 @@
 //! is skipped and counted in
 //! [`ResolveReport::candidates_broken`]).
 
-use std::cmp::Reverse;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -29,8 +27,8 @@ use std::time::{Duration, Instant};
 use csc_core::{
     Artifacts, Budget, CheckError, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
-use petri::{ExploreLimits, PlaceId, StopGuard};
-use stg::{Signal, Stg};
+use petri::{ExploreLimits, PlaceId, StopGuard, TransitionId};
+use stg::Stg;
 
 use crate::insert::insert_state_signal_multi;
 
@@ -121,7 +119,7 @@ pub struct RoundReport {
     pub elapsed: Duration,
 }
 
-/// Counters and per-stage timing of a resolution run.
+/// Counters and timing of a resolution run.
 #[derive(Debug, Clone, Default)]
 pub struct ResolveReport {
     /// CSC conflict pairs in the input.
@@ -132,24 +130,11 @@ pub struct ResolveReport {
     /// unsafe, or over the per-candidate exploration caps) — skipped,
     /// never silently mis-scored.
     pub candidates_broken: usize,
-    /// Candidates emitted by the conflict-core-guided generator
-    /// (scored *before* the exhaustive place-pair sweep).
-    pub candidates_generated: usize,
-    /// Guided host pairs discarded by the structural concurrency
-    /// relation before any scoring: structurally concurrent hosts
-    /// would let the inserted signal's rise and fall race, so the
-    /// candidate is near-certainly inconsistent. The exhaustive sweep
-    /// still covers them, so pruning never loses a resolution.
-    pub candidates_pruned: usize,
     /// Checks that reused an already-built artifact stage instead of
     /// rebuilding it (seeded initial score, warm final verification).
     pub warm_reuses: usize,
     /// One entry per greedy round, in order.
     pub rounds: Vec<RoundReport>,
-    /// Total time spent scoring candidates.
-    pub score_elapsed: Duration,
-    /// Time spent in the final unfolding verification.
-    pub verify_elapsed: Duration,
     /// Prefix events the final verification built. Candidates are
     /// scored on the state graph, so this is the winner's prefix, built
     /// once here and reused by any later check on the returned set.
@@ -164,7 +149,7 @@ pub struct ResolveReport {
 pub struct ResolveRun {
     /// The resolution outcome.
     pub outcome: ResolveOutcome,
-    /// Counters and per-stage timing.
+    /// Counters and timing.
     pub report: ResolveReport,
     /// Artifact set of the outcome net (the resolved net for
     /// [`ResolveOutcome::Resolved`], the input for
@@ -200,127 +185,14 @@ struct Scored {
     artifacts: Arc<Artifacts>,
 }
 
-/// Conflict pairs sampled for core extraction per round.
-const CORE_PAIR_CAP: usize = 256;
-/// Core places kept after ranking by cover count.
-const CORE_PLACE_CAP: usize = 24;
-/// Guided single-toggle candidates scored per round before the
-/// exhaustive sweep.
-const GUIDED_CAP: usize = 160;
 /// Best-scoring single-toggle candidates kept per round as the pool
 /// double-toggle candidates are composed from.
 const POOL_CAP: usize = 32;
 /// Double-toggle candidates are only composed below this conflict
-/// count: they target the endgame, where few same-code state
+/// count: they target the last conflicts, where few same-code state
 /// classes remain and the binding constraint is cut *count*, not
 /// which coarse region a single split picks.
 const DOUBLE_CONFLICT_CAP: usize = 1024;
-/// The endgame backtracking search only runs below this initial
-/// conflict count — tie branching multiplies sweep cost, so it is
-/// reserved for small instances where greedy stalls near zero.
-const ENDGAME_CONFLICT_CAP: usize = 64;
-/// Tied-best candidates the endgame search branches over per round
-/// (first entry = first round; the last entry covers deeper rounds).
-const ENDGAME_TIE_CAPS: [usize; 2] = [12, 6];
-/// Total candidate insertions the endgame search may score — a hard
-/// effort bound independent of the wall-clock budget.
-const ENDGAME_CANDIDATE_CAP: usize = 60_000;
-
-/// Signals of the transitions adjacent to `p` (its structural
-/// neighbourhood in the STG), sorted and deduplicated.
-fn place_signals(stg: &Stg, p: PlaceId) -> Vec<Signal> {
-    let net = stg.net();
-    let mut out: Vec<Signal> = net
-        .place_preset(p)
-        .iter()
-        .chain(net.place_postset(p))
-        .filter_map(|&t| stg.label(t).signal())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Whether every signal adjacent to `p` is lock-related to every
-/// signal adjacent to `q` — a strong hint that splitting at `(p, q)`
-/// inserts the new signal into one sequential thread of control.
-fn hosts_locked(stg: &Stg, structure: &lint::StructureReport, p: PlaceId, q: PlaceId) -> bool {
-    let zp = place_signals(stg, p);
-    let zq = place_signals(stg, q);
-    !zp.is_empty()
-        && !zq.is_empty()
-        && zp
-            .iter()
-            .all(|&a| zq.iter().all(|&b| a == b || structure.lock.locked(a, b)))
-}
-
-/// Conflict-core-guided candidate generation: host pairs drawn from
-/// the places that distinguish conflicting markings, ranked so the
-/// most promising insertions are scored first.
-///
-/// The *conflict core* of a CSC conflict pair `(M, M')` is the
-/// symmetric difference of the two markings — exactly the places
-/// whose tokens tell the states apart, i.e. where an inserted state
-/// signal can observe the difference. Each place is weighted by how
-/// many sampled conflict pairs it covers; candidates pair the
-/// top-covering places, prune structurally concurrent hosts (the
-/// inserted signal's edges would race — counted in
-/// [`ResolveReport::candidates_pruned`]), and rank by total cover
-/// with a lock-relation tiebreak. Reads the current net's state
-/// graph, which [`score`] just built to count its conflicts; returns
-/// no candidates when that graph is unavailable, falling back to the
-/// exhaustive sweep alone.
-fn guided_singles(
-    current: &Scored,
-    options: &ResolverOptions,
-    guard: &StopGuard,
-    report: &mut ResolveReport,
-) -> Vec<(PlaceId, PlaceId)> {
-    let Ok(sg) = current
-        .artifacts
-        .state_graph(explore_limits(&options.budget), guard)
-    else {
-        return Vec::new();
-    };
-    let stg = current.stg.as_ref();
-    let net = stg.net();
-    let pairs = sg.csc_conflict_pairs(stg);
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    let mut cover = vec![0usize; net.num_places()];
-    for &(a, b) in pairs.iter().take(CORE_PAIR_CAP) {
-        let (ma, mb) = (sg.marking(a), sg.marking(b));
-        for p in net.places() {
-            if ma.tokens(p) != mb.tokens(p) {
-                cover[p.index()] += 1;
-            }
-        }
-    }
-    let mut core: Vec<PlaceId> = net.places().filter(|p| cover[p.index()] > 0).collect();
-    core.sort_by_key(|p| (Reverse(cover[p.index()]), p.index()));
-    core.truncate(CORE_PLACE_CAP);
-
-    let structure = current.artifacts.structure();
-    let mut ranked: Vec<(usize, usize, PlaceId, PlaceId)> = Vec::new();
-    for &p in &core {
-        for &q in &core {
-            if p == q {
-                continue;
-            }
-            if structure.concurrency.places_concurrent(p, q) {
-                report.candidates_pruned += 1;
-                continue;
-            }
-            let locked = usize::from(hosts_locked(stg, &structure, p, q));
-            ranked.push((cover[p.index()] + cover[q.index()], locked, p, q));
-        }
-    }
-    ranked.sort_by_key(|&(cov, lock, p, q)| (Reverse(cov), Reverse(lock), p.index(), q.index()));
-    ranked.truncate(GUIDED_CAP);
-    report.candidates_generated += ranked.len();
-    ranked.into_iter().map(|(_, _, p, q)| (p, q)).collect()
-}
 
 /// Composes double-toggle candidates from the round's best-scoring
 /// consistent singles: two host pairs with four distinct places.
@@ -334,8 +206,11 @@ fn guided_singles(
 /// which is why the whole top-[`POOL_CAP`] pool is paired rather
 /// than the best few. Inconsistent combinations die cheaply in
 /// scoring as broken candidates.
+///
+/// The pool arrives in sweep order, and the stable sort keeps that
+/// order among equal scores.
 fn composed_doubles(pool: &mut Vec<(usize, (PlaceId, PlaceId))>) -> Vec<[(PlaceId, PlaceId); 2]> {
-    pool.sort_by_key(|&(s, (p, q))| (s, p.index(), q.index()));
+    pool.sort_by_key(|&(s, _)| s);
     pool.truncate(POOL_CAP);
     let mut doubles = Vec::new();
     for (i, &(_, (p1, q1))) in pool.iter().enumerate() {
@@ -348,6 +223,31 @@ fn composed_doubles(pool: &mut Vec<(usize, (PlaceId, PlaceId))>) -> Vec<[(PlaceI
         }
     }
     doubles
+}
+
+/// The places of `stg` in the order the sweep visits them: by the
+/// names of their producing transitions, then of their consuming
+/// transitions, then by place name. Ties between equal-scoring
+/// candidates go to the one scored first, so the order decides the
+/// outcome; keying it on names rather than place numbers gives the
+/// same resolution for a net built by a generator and for the same
+/// net parsed back from `.g`, which numbers places in arc order.
+fn sweep_order(stg: &Stg) -> Vec<PlaceId> {
+    let net = stg.net();
+    let names = |ts: &[TransitionId]| {
+        let mut names: Vec<&str> = ts.iter().map(|&t| stg.transition_name(t)).collect();
+        names.sort_unstable();
+        names
+    };
+    let mut places: Vec<PlaceId> = net.places().collect();
+    places.sort_by_cached_key(|&p| {
+        (
+            names(net.place_preset(p)),
+            names(net.place_postset(p)),
+            net.place_name(p),
+        )
+    });
+    places
 }
 
 /// Inserts and scores one candidate insertion (one toggle pair per
@@ -366,148 +266,36 @@ fn try_candidate(
     report: &mut ResolveReport,
     best: &mut Option<Scored>,
 ) -> Result<Option<usize>, ResolveError> {
-    let Some(candidate) = score_hosts(current_stg, name, hosts, options, guard, report)? else {
-        return Ok(None);
-    };
-    let s = candidate.conflicts;
-    if best
-        .as_ref()
-        .is_none_or(|b| s < b.conflicts || (s == b.conflicts && candidate.toggles > b.toggles))
-    {
-        *best = Some(candidate);
-    }
-    Ok(Some(s))
-}
-
-/// Inserts and scores one candidate, returning it as a [`Scored`]
-/// (`None` for unbuildable or broken candidates).
-fn score_hosts(
-    current_stg: &Arc<Stg>,
-    name: &str,
-    hosts: &[(PlaceId, PlaceId)],
-    options: &ResolverOptions,
-    guard: &StopGuard,
-    report: &mut ResolveReport,
-) -> Result<Option<Scored>, ResolveError> {
+    // A watchdog cancellation or an expired deadline aborts between
+    // candidates even when every individual score is cheap.
+    guard
+        .poll()
+        .map_err(|r| ResolveError::Exhausted(r.into()))?;
     let Ok(candidate) = insert_state_signal_multi(current_stg, name, hosts) else {
         return Ok(None);
     };
     let candidate = Arc::new(candidate);
     let artifacts = Arc::new(Artifacts::new(Arc::clone(&candidate)));
-    let score_start = Instant::now();
-    let scored = score(&artifacts, options, guard, report);
-    report.score_elapsed += score_start.elapsed();
-    match scored? {
-        Score::Conflicts(s) => Ok(Some(Scored {
-            conflicts: s,
-            toggles: hosts.len(),
-            stg: candidate,
-            artifacts,
-        })),
+    let s = match score(&artifacts, options, guard, report)? {
+        Score::Conflicts(s) => s,
         Score::Broken => {
             report.candidates_broken += 1;
-            Ok(None)
+            return Ok(None);
         }
+    };
+    let toggles = hosts.len();
+    if best
+        .as_ref()
+        .is_none_or(|b| s < b.conflicts || (s == b.conflicts && toggles > b.toggles))
+    {
+        *best = Some(Scored {
+            conflicts: s,
+            toggles,
+            stg: candidate,
+            artifacts,
+        });
     }
-}
-
-/// Bounded backtracking over tied-best candidates — the endgame
-/// search run when the greedy pass fails on a small instance.
-///
-/// Greedy adoption is blind to *which* of several equally-scoring
-/// insertions it keeps, yet on tightly-coupled nets only some tie
-/// choices admit a conflict-free completion (on a burst cycle, every
-/// balanced first cut scores alike, but only cuts that interleave
-/// with the later ones reach zero). This search redoes the rounds
-/// depth-first, branching over the tied-best candidates of each
-/// round — double-toggle candidates explored first, since the
-/// endgame's binding constraint is cut count — under
-/// [`ENDGAME_TIE_CAPS`] and a total effort bound of
-/// [`ENDGAME_CANDIDATE_CAP`] scored insertions. Returns the first
-/// conflict-free net found with its inserted signal names.
-fn endgame(
-    current: &Scored,
-    round: usize,
-    effort: &mut usize,
-    options: &ResolverOptions,
-    guard: &StopGuard,
-    report: &mut ResolveReport,
-) -> Result<Option<(Scored, Vec<String>)>, ResolveError> {
-    if round >= options.max_signals || *effort == 0 {
-        return Ok(None);
-    }
-    let name = format!("csc{round}");
-    let tie_cap = ENDGAME_TIE_CAPS[round.min(ENDGAME_TIE_CAPS.len() - 1)];
-    let mut pool: Vec<(usize, (PlaceId, PlaceId))> = Vec::new();
-    // Tied-best candidates, singles and doubles kept apart so the
-    // branching below can explore the finer refinements first.
-    let mut tie_singles: Vec<Scored> = Vec::new();
-    let mut tie_doubles: Vec<Scored> = Vec::new();
-    let mut min = usize::MAX;
-
-    let places: Vec<_> = current.stg.net().places().collect();
-    for &p in &places {
-        for &q in &places {
-            if p == q || *effort == 0 {
-                continue;
-            }
-            *effort -= 1;
-            guard
-                .poll()
-                .map_err(|r| ResolveError::Exhausted(r.into()))?;
-            let Some(cand) = score_hosts(&current.stg, &name, &[(p, q)], options, guard, report)?
-            else {
-                continue;
-            };
-            if cand.conflicts == 0 {
-                return Ok(Some((cand, vec![name])));
-            }
-            pool.push((cand.conflicts, (p, q)));
-            if cand.conflicts < min {
-                min = cand.conflicts;
-                tie_singles.clear();
-                tie_doubles.clear();
-                tie_singles.push(cand);
-            } else if cand.conflicts == min && tie_singles.len() < tie_cap {
-                tie_singles.push(cand);
-            }
-        }
-    }
-
-    let doubles = composed_doubles(&mut pool);
-    report.candidates_generated += doubles.len();
-    for hosts in &doubles {
-        if *effort == 0 {
-            break;
-        }
-        *effort -= 1;
-        guard
-            .poll()
-            .map_err(|r| ResolveError::Exhausted(r.into()))?;
-        let Some(cand) = score_hosts(&current.stg, &name, hosts, options, guard, report)? else {
-            continue;
-        };
-        if cand.conflicts == 0 {
-            return Ok(Some((cand, vec![name])));
-        }
-        if cand.conflicts < min {
-            min = cand.conflicts;
-            tie_singles.clear();
-            tie_doubles.clear();
-            tie_doubles.push(cand);
-        } else if cand.conflicts == min && tie_doubles.len() < tie_cap {
-            tie_doubles.push(cand);
-        }
-    }
-
-    for tie in tie_doubles.iter().chain(&tie_singles) {
-        if let Some((solved, mut names)) = endgame(tie, round + 1, effort, options, guard, report)?
-        {
-            names.insert(0, name.clone());
-            return Ok(Some((solved, names)));
-        }
-    }
-    Ok(None)
+    Ok(Some(s))
 }
 
 /// The state-graph limits of one score: the budget's `max_states`
@@ -554,21 +342,18 @@ fn score(
 /// holds instead of re-exploring. A mismatched seed is ignored, never
 /// trusted.
 ///
-/// The search is greedy (best single insertion per round). Each
-/// round scores *guided* candidates first — host pairs drawn from
-/// the conflict cores (the places distinguishing conflicting
-/// markings), filtered through the structural concurrency relation
-/// and ranked by cover — then falls back to the exhaustive
-/// place-pair sweep, so guidance reorders the search without ever
-/// losing a resolution. A round whose best candidate merely *ties*
-/// the current conflict count is adopted anyway (a plateau step):
-/// the extra split refines the state code, letting a later round
-/// separate states no single insertion could. The search can still
-/// fail on models whose conflicts resist [`max_signals`] insertions
-/// — notably τ-heavy STGs where dummy transitions separate
-/// same-code states. Such runs end in [`ResolveOutcome::Failed`]
-/// with the lowest-conflict model seen (plateau detours are never
-/// reported as "best").
+/// The search is greedy: each round scores every single insertion
+/// (the exhaustive place-pair sweep), then, while few conflicts
+/// remain, the double-toggle insertions composed from the round's
+/// best singles, and adopts the best. A round whose best candidate
+/// merely *ties* the current conflict count is adopted anyway (a
+/// plateau step): the extra split refines the state code, letting a
+/// later round separate states no single insertion could. The search
+/// can still fail on models whose conflicts resist [`max_signals`]
+/// insertions — notably τ-heavy STGs where dummy transitions separate
+/// same-code states. Such runs end in [`ResolveOutcome::Failed`] with
+/// the lowest-conflict model seen (plateau detours are never reported
+/// as "best").
 ///
 /// [`max_signals`]: ResolverOptions::max_signals
 ///
@@ -599,7 +384,6 @@ pub fn resolve_csc_with_report(
         }
         _ => Arc::new(Artifacts::new(Arc::new(stg.clone()))),
     };
-    let score_start = Instant::now();
     let initial = match score(&input_artifacts, options, &guard, &mut report)? {
         Score::Conflicts(n) => n,
         Score::Broken => {
@@ -610,7 +394,6 @@ pub fn resolve_csc_with_report(
             ))
         }
     };
-    report.score_elapsed += score_start.elapsed();
     report.initial_conflicts = initial;
     if initial == 0 {
         report.elapsed = started.elapsed();
@@ -632,8 +415,6 @@ pub fn resolve_csc_with_report(
     // failed search reports this instead of the (possibly larger)
     // final net.
     let mut best_seen = current.clone();
-    // The untouched input, kept as the endgame search's root.
-    let origin = current.clone();
     let mut inserted = Vec::new();
     for round in 0..options.max_signals {
         let round_start = Instant::now();
@@ -641,88 +422,44 @@ pub fn resolve_csc_with_report(
         let name = format!("csc{round}");
         let mut best: Option<Scored> = None;
         let mut solved = false;
-
         let mut pool: Vec<(usize, (PlaceId, PlaceId))> = Vec::new();
 
-        // Phase 1: guided — conflict-core host pairs first, so ties
-        // in the exhaustive sweep resolve toward structurally
-        // informed insertions.
-        let guided = guided_singles(&current, options, &guard, &mut report);
-        let mut tried: HashSet<(PlaceId, PlaceId)> = HashSet::with_capacity(guided.len());
-        for &(p_plus, p_minus) in &guided {
-            guard
-                .poll()
-                .map_err(|r| ResolveError::Exhausted(r.into()))?;
-            tried.insert((p_plus, p_minus));
-            let hosts = [(p_plus, p_minus)];
-            let scored = try_candidate(
-                &current.stg,
-                &name,
-                &hosts,
-                options,
-                &guard,
-                &mut report,
-                &mut best,
-            )?;
-            if let Some(s) = scored {
-                pool.push((s, (p_plus, p_minus)));
-                if s == 0 {
-                    solved = true;
-                    break;
+        // Single insertions: one toggle pair at every ordered pair of
+        // distinct places.
+        let places = sweep_order(&current.stg);
+        'candidates: for &p_plus in &places {
+            for &p_minus in &places {
+                if p_plus == p_minus {
+                    continue;
                 }
-            }
-        }
-
-        // Phase 2: exhaustive sweep over the remaining place pairs —
-        // guided generation reorders the search but never loses a
-        // resolution the plain sweep would have found.
-        if !solved {
-            let places: Vec<_> = current.stg.net().places().collect();
-            'candidates: for &p_plus in &places {
-                for &p_minus in &places {
-                    if p_plus == p_minus || tried.contains(&(p_plus, p_minus)) {
-                        continue;
-                    }
-                    // A watchdog cancellation or an expired deadline
-                    // aborts between candidates even when every
-                    // individual score is cheap.
-                    guard
-                        .poll()
-                        .map_err(|r| ResolveError::Exhausted(r.into()))?;
-                    let hosts = [(p_plus, p_minus)];
-                    let scored = try_candidate(
-                        &current.stg,
-                        &name,
-                        &hosts,
-                        options,
-                        &guard,
-                        &mut report,
-                        &mut best,
-                    )?;
-                    if let Some(s) = scored {
-                        pool.push((s, (p_plus, p_minus)));
-                        if s == 0 {
-                            solved = true;
-                            break 'candidates;
-                        }
+                let hosts = [(p_plus, p_minus)];
+                let scored = try_candidate(
+                    &current.stg,
+                    &name,
+                    &hosts,
+                    options,
+                    &guard,
+                    &mut report,
+                    &mut best,
+                )?;
+                if let Some(s) = scored {
+                    pool.push((s, (p_plus, p_minus)));
+                    if s == 0 {
+                        solved = true;
+                        break 'candidates;
                     }
                 }
             }
         }
 
-        // Phase 3: double-toggle insertions — one signal toggling
-        // twice, composed from the round's best consistent singles.
-        // Scored after the single sweeps so a net a single toggle
-        // already solves never grows extra transitions; at equal
-        // conflict counts the tie-break in [`try_candidate`] adopts
-        // the double for its finer code refinement.
+        // Double-toggle insertions — one signal toggling twice,
+        // composed from the round's best consistent singles. Scored
+        // after the singles so a net a single toggle already solves
+        // never grows extra transitions; at equal conflict counts the
+        // tie-break in [`try_candidate`] adopts the double for its
+        // finer code refinement.
         if !solved && current.conflicts <= DOUBLE_CONFLICT_CAP {
-            let doubles = composed_doubles(&mut pool);
-            report.candidates_generated += doubles.len();
-            for hosts in &doubles {
-                guard
-                    .poll()
-                    .map_err(|r| ResolveError::Exhausted(r.into()))?;
+            for hosts in &composed_doubles(&mut pool) {
                 let scored = try_candidate(
                     &current.stg,
                     &name,
@@ -769,33 +506,17 @@ pub fn resolve_csc_with_report(
         }
     }
 
-    // The greedy pass is myopic about *which* of several tied-best
-    // insertions it adopts; on small instances a bounded
-    // backtracking pass over those ties often completes where greedy
-    // stalled one conflict short.
-    if current.conflicts > 0 && initial <= ENDGAME_CONFLICT_CAP {
-        let mut effort = ENDGAME_CANDIDATE_CAP;
-        if let Some((solved, names)) =
-            endgame(&origin, 0, &mut effort, options, &guard, &mut report)?
-        {
-            current = solved;
-            inserted = names;
-        }
-    }
-
     if current.conflicts == 0 {
         // Final verification with the paper's checker — the resolver
         // only ever *claims* success the unfolding engine confirms.
         // The check runs on the winner's own artifact set, which is
         // returned so the pipeline's re-check is warm next.
-        let verify_start = Instant::now();
         let run = CheckRequest::new(&current.stg, Property::Csc)
             .engine(Engine::UnfoldingIlp)
             .budget(options.budget.clone())
             .artifacts(&current.artifacts)
             .run()
             .map_err(ResolveError::Verification)?;
-        report.verify_elapsed = verify_start.elapsed();
         report.verify_prefix_events_built = run.report.prefix_events_built;
         if report.verify_prefix_events_built == Some(0) {
             report.warm_reuses += 1;
@@ -855,6 +576,7 @@ mod tests {
     use csc_core::CancelToken;
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::{dup_4ph, dup_mod};
+    use stg::gen::random::{random_stg, RandomStgConfig};
     use stg::gen::ring::lazy_ring;
     use stg::gen::vme::vme_read;
     use stg::StateGraph;
@@ -983,6 +705,43 @@ mod tests {
         assert_eq!(run.report.rounds.len(), 1);
         assert!(run.report.rounds[0].inserted);
         assert_eq!(run.report.rounds[0].remaining, 0);
+    }
+
+    #[test]
+    fn every_scored_candidate_belongs_to_a_greedy_round() {
+        // The default random net no insertion fixes: the search fails
+        // with conflicts left, and every candidate it scored besides
+        // the input is counted in one of its rounds.
+        let stg = random_stg(&RandomStgConfig::default(), 19);
+        let run = resolve_csc_with_report(&stg, &ResolverOptions::default(), None).unwrap();
+        let ResolveOutcome::Failed { remaining, .. } = run.outcome else {
+            panic!("expected Failed, got {:?}", run.outcome);
+        };
+        assert_eq!(remaining, 2);
+        let per_round: usize = run.report.rounds.iter().map(|r| r.candidates_tried).sum();
+        assert_eq!(run.report.candidates_tried, 1 + per_round);
+    }
+
+    #[test]
+    fn resolution_does_not_depend_on_place_numbering() {
+        // Parsing the generated net back from `.g` numbers its places
+        // in arc order; the sweep order, and so the search, must not
+        // change. On DUP-MOD-C a sweep in the generator's place-number
+        // order ends one conflict pair short.
+        let built = dup_mod(6);
+        let parsed = stg::parse(&stg::to_g_format(&built, "dup-mod")).unwrap();
+        let runs = [&built, &parsed]
+            .map(|net| resolve_csc_with_report(net, &ResolverOptions::default(), None).unwrap());
+        for run in &runs {
+            let ResolveOutcome::Resolved { inserted, .. } = &run.outcome else {
+                panic!("expected Resolved, got {:?}", run.outcome);
+            };
+            assert_eq!(inserted.len(), 3);
+        }
+        assert_eq!(
+            runs[0].report.candidates_tried,
+            runs[1].report.candidates_tried
+        );
     }
 
     // ------------------------------------------------------------------

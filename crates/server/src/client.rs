@@ -736,7 +736,7 @@ mod tests {
     #[test]
     fn shed_responses_decode_as_retryable() {
         let raw = json::parse(
-            r#"{"id":"d","proto":10,"status":"error","code":"queue_full",
+            r#"{"id":"d","proto":11,"status":"error","code":"queue_full",
                 "error":"job queue is full","retry_after_ms":120}"#,
         )
         .unwrap();
@@ -767,7 +767,7 @@ mod tests {
     #[test]
     fn responses_surface_the_report_blocks() {
         let raw = json::parse(
-            r#"{"id":"g","proto":10,"status":"ok","verdict":"holds",
+            r#"{"id":"g","proto":11,"status":"ok","verdict":"holds",
                 "report":{"elapsed_ms":1.0,"unfold":null,
                           "bdd":{"live_nodes":10,"peak_live_nodes":20,
                                  "gc_runs":1,"reorder_passes":0,
@@ -786,7 +786,7 @@ mod tests {
         )
         .unwrap();
         let response = CheckResponse::from_value(raw).unwrap();
-        assert_eq!(response.proto, Some(10));
+        assert_eq!(response.proto, Some(11));
         let structure = response.structure_summary().expect("structure summary");
         assert_eq!(
             structure.get("class").and_then(Value::as_str),

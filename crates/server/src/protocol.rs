@@ -339,7 +339,7 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// The protocol revision stamped on check, synthesize and
 /// load-shedding responses. The schema is frozen at this revision:
 /// docs/SERVER.md describes it, and clients read no older one.
-pub const PROTO_VERSION: u64 = 10;
+pub const PROTO_VERSION: u64 = 11;
 
 /// Encodes the verdict response for a completed check.
 pub fn encode_check_response(id: &str, stg: &Stg, run: &CheckRun) -> String {
@@ -403,14 +403,6 @@ pub fn encode_synthesize_response(id: &str, run: &resolve::SynthesisRun) -> Stri
             (
                 "candidates_broken".to_owned(),
                 Value::from(r.candidates_broken as u64),
-            ),
-            (
-                "candidates_generated".to_owned(),
-                Value::from(r.candidates_generated as u64),
-            ),
-            (
-                "candidates_pruned".to_owned(),
-                Value::from(r.candidates_pruned as u64),
             ),
             ("rounds".to_owned(), Value::from(r.rounds.len() as u64)),
             ("warm_reuses".to_owned(), Value::from(r.warm_reuses as u64)),
@@ -879,16 +871,10 @@ mod tests {
         );
         let resolve = v.get("resolve").expect("resolve block present");
         assert!(!resolve.is_null());
-        // Revision 8: the guided-generation counters are always
-        // present (zero when guidance never fired).
-        assert!(resolve
-            .get("candidates_generated")
-            .and_then(Value::as_u64)
-            .is_some());
-        assert!(resolve
-            .get("candidates_pruned")
-            .and_then(Value::as_u64)
-            .is_some());
+        // Revision 11 dropped the guided-generation counters with the
+        // guided pre-pass.
+        assert!(resolve.get("candidates_generated").is_none());
+        assert!(resolve.get("candidates_pruned").is_none());
     }
 
     #[test]
@@ -968,8 +954,9 @@ mod tests {
             .and_then(|r| r.get("bdd"))
             .is_some_and(Value::is_null));
         // Revision 9 dropped the `lint` member with the LP stage;
-        // revision 10 races two engines.
-        assert_eq!(PROTO_VERSION, 10);
+        // revision 10 races two engines; revision 11 drops the
+        // resolver's guided-generation counters.
+        assert_eq!(PROTO_VERSION, 11);
         assert!(v.get("report").and_then(|r| r.get("lint")).is_none());
     }
 

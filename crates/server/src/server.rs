@@ -142,12 +142,6 @@ struct Stats {
     /// `synthesize` jobs that surrendered, exhausted their budget, or
     /// hit a pipeline error (the `resolve_failed` response code).
     synthesize_failed: u64,
-    /// Cumulative guided candidates emitted across all `synthesize`
-    /// jobs (the resolver's conflict-core generator).
-    synthesize_candidates_generated: u64,
-    /// Cumulative guided host pairs discarded by the structural
-    /// concurrency relation across all `synthesize` jobs.
-    synthesize_candidates_pruned: u64,
     /// Race outcomes keyed like [`RACERS`].
     race_wins: [u64; RACERS.len()],
     /// Races some *other* engine won while this one was retired.
@@ -539,14 +533,6 @@ impl Shared {
                                 Value::from(stats.synthesize_resolved),
                             ),
                             ("failed".to_owned(), Value::from(stats.synthesize_failed)),
-                            (
-                                "candidates_generated".to_owned(),
-                                Value::from(stats.synthesize_candidates_generated),
-                            ),
-                            (
-                                "candidates_pruned".to_owned(),
-                                Value::from(stats.synthesize_candidates_pruned),
-                            ),
                         ]),
                     ),
                     (
@@ -1320,10 +1306,6 @@ fn process_synthesize(request: &SynthesizeRequest, job: &Job, shared: &Arc<Share
                     stats.synthesize_resolved += 1;
                 } else {
                     stats.synthesize_failed += 1;
-                }
-                if let Some(r) = &run.resolve_report {
-                    stats.synthesize_candidates_generated += r.candidates_generated as u64;
-                    stats.synthesize_candidates_pruned += r.candidates_pruned as u64;
                 }
             }
             encode_synthesize_response(&request.id, &run)

@@ -59,8 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:<24} [{tag}]", eq.equation);
     }
     assert!(non_monotonic > 0);
-    println!("\nAs §6 of the paper observes, the state signal's function is");
-    println!("non-monotonic, so the resolved model still cannot use purely");
-    println!("monotonic gates.");
+    println!(
+        "\nAs §6 of the paper observes, resolving CSC does not make the\n\
+         model monotonic: {non_monotonic} next-state function(s) still need\n\
+         an input inverter."
+    );
     Ok(())
 }

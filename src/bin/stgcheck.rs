@@ -13,7 +13,6 @@
 //! stgcheck deadlock <file.g>                 deadlock search (§5)
 //! stgcheck report <file.g>                   full battery, one summary
 //! stgcheck synth <file.g>                    next-state equations (needs CSC)
-//! stgcheck resolve <file.g> [--to-g]         insert state signals until CSC holds
 //! stgcheck synthesize <file.g> [--to-g]      full pipeline: lint -> check -> resolve
 //!                                            -> re-check -> equations
 //! stgcheck dot <file.g>                      STG as Graphviz DOT
@@ -49,8 +48,10 @@
 //! The `lint` command never explores the state space: it classifies
 //! parse failures into stable coded diagnostics with line:col spans,
 //! runs the structural well-formedness checks, and attempts the
-//! semiflow and LP-relaxation proofs (`--no-lp` skips the LPs). Exit
-//! code 2 when any error-severity diagnostic fires, 0 otherwise.
+//! semiflow and LP-relaxation proofs (`--no-lp` skips the LPs;
+//! `--timeout-ms N` bounds the proofs, which then report
+//! `[LP abstained]`). Exit code 2 when any error-severity diagnostic
+//! fires, 0 otherwise.
 //!
 //! The `structure` command runs the purely structural net-class pass:
 //! marked-graph / state-machine / free-choice / extended-free-choice /
@@ -120,7 +121,7 @@ fn main() -> ExitCode {
 fn usage() -> String {
     format!(
         "usage: stgcheck <lint|structure|info|unfold|usc|csc|check|normalcy|deadlock|report|synth|\
-         resolve|synthesize|dot|gen> ... \
+         synthesize|dot|gen> ... \
          [--engine {}] [--timeout-ms N] [--max-events N] \
          [--max-signals N] [--server HOST:PORT] [--format human|json] \
          [--no-lp] [--to-g]",
@@ -203,7 +204,6 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(exit_code(!report.is_implementable_with_monotonic_gates()))
         }
         "synth" => synth_equations(&model).map(exit_code),
-        "resolve" => resolve_cmd(&model, flags).map(exit_code),
         "synthesize" => synthesize_cmd(&model, flags),
         "dot" => {
             print!("{}", stg::dot::to_dot(&model, "stg"));
@@ -236,9 +236,14 @@ fn json_format(flags: &[String]) -> Result<bool, String> {
 fn lint_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
     let json = json_format(flags)?;
     let lp = !flags.iter().any(|f| f == "--no-lp");
+    // `--timeout-ms` bounds the proofs: at the deadline the semiflow
+    // pass and the LPs abstain instead of running on.
     let options = lint::LintOptions {
         lp,
-        ..Default::default()
+        lp_options: lint::LpOptions {
+            guard: budget_flags(flags)?.guard(),
+            ..Default::default()
+        },
     };
     let mut outcome = lint::lint_bytes(source, &options);
     if let (false, Some(stg)) = (lp, &outcome.stg) {
@@ -612,35 +617,6 @@ fn synth_equations(model: &Stg) -> Result<bool, String> {
     Ok(!all_monotonic)
 }
 
-fn resolve_cmd(model: &Stg, flags: &[String]) -> Result<bool, String> {
-    use stg_coding_conflicts::resolve::{resolve_csc, ResolveOutcome};
-    match resolve_csc(model, Default::default()).map_err(|e| e.to_string())? {
-        ResolveOutcome::AlreadySatisfied => {
-            println!("CSC already holds; nothing to do");
-            Ok(false)
-        }
-        ResolveOutcome::Resolved {
-            stg: fixed,
-            inserted,
-        } => {
-            if flags.iter().any(|f| f == "--to-g") {
-                print!("{}", stg::to_g_format(&fixed, "resolved"));
-            } else {
-                println!(
-                    "resolved with {} state signal(s): {}",
-                    inserted.len(),
-                    inserted.join(", ")
-                );
-            }
-            Ok(false)
-        }
-        ResolveOutcome::Failed { remaining, .. } => {
-            println!("resolution failed: {remaining} CSC conflict pair(s) remain");
-            Ok(true)
-        }
-    }
-}
-
 /// Parses an optional `--<name> N` numeric flag.
 fn numeric_flag(flags: &[String], name: &str) -> Result<Option<usize>, String> {
     match flags.iter().position(|f| f == name) {
@@ -679,12 +655,8 @@ fn synthesize_cmd(model: &Stg, flags: &[String]) -> Result<u8, String> {
         }
         if let Some(r) = &run.resolve_report {
             println!(
-                "resolve candidates: {} tried, {} guided, {} pruned (concurrent hosts), \
-                 {} broken",
-                r.candidates_tried,
-                r.candidates_generated,
-                r.candidates_pruned,
-                r.candidates_broken
+                "resolve candidates: {} tried, {} broken",
+                r.candidates_tried, r.candidates_broken
             );
         }
         if let Some(built) = run.pipeline.report.recheck_prefix_events_built {

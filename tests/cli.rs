@@ -252,3 +252,42 @@ fn lint_and_structure_reject_a_malformed_net_with_its_code() {
         assert!(out.stdout.is_empty());
     }
 }
+
+/// `--timeout-ms` bounds `stgcheck lint`: on MULLER-100, whose
+/// relaxation LPs run for minutes unbounded, the LPs abstain at the
+/// deadline and the pass reports it.
+#[test]
+fn lint_honours_the_timeout() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join(format!("stgcheck-lint-timeout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = stgcheck(&["gen", "pipeline", "100"]);
+    assert_eq!(model.status.code(), Some(0));
+    std::fs::write(dir.join("m100.g"), &model.stdout).unwrap();
+    let report = std::fs::File::create(dir.join("lint.json")).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stgcheck"))
+        .args(["lint", "m100.g", "--timeout-ms", "500", "--format", "json"])
+        .current_dir(&dir)
+        .stdout(report)
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(20) {
+            child.kill().expect("kill");
+            child.wait().expect("reap");
+            panic!("lint ran past 20 s under --timeout-ms 500");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0));
+    let text = std::fs::read_to_string(dir.join("lint.json")).unwrap();
+    assert!(text.contains("\"lp_abstained\": true"), "{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -73,3 +73,43 @@ fn roster_prefixes_represent_all_markings() {
         assert_eq!(represented.len(), sg.num_states(), "{}", model.name);
     }
 }
+
+/// The resolver fixes the seven resolvable conflicted rows with the
+/// recorded number of state signals, and the explicit oracle re-proves
+/// CSC on every result. RING and DUP-4PH-MTR-B, which the resolver
+/// does not fix within its default three signals, are left out: their
+/// searches take seconds.
+#[test]
+fn roster_resolutions_match_the_recorded_outcomes() {
+    use stg_coding_conflicts::resolve::{resolve_csc, ResolveOutcome, ResolverOptions};
+
+    let recorded = [
+        ("LAZYRING", 2),
+        ("DUP-4PH-A", 1),
+        ("DUP-4PH-B", 2),
+        ("DUP-4PH-MTR-A", 3),
+        ("DUP-MOD-A", 2),
+        ("DUP-MOD-B", 3),
+        ("DUP-MOD-C", 3),
+    ];
+    let rows = models();
+    for (name, signals) in recorded {
+        let model = rows
+            .iter()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("{name}: not in the roster"));
+        assert!(!model.expect_csc, "{name}: conflicted row");
+        match resolve_csc(&model.stg, ResolverOptions::default()).unwrap() {
+            ResolveOutcome::Resolved { stg, inserted } => {
+                assert_eq!(inserted.len(), signals, "{name}: {inserted:?}");
+                let sg = StateGraph::build(&stg, ExploreLimits::default())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(sg.satisfies_csc(&stg), "{name}: oracle");
+            }
+            ResolveOutcome::Failed { remaining, .. } => {
+                panic!("{name}: failed with {remaining} conflict pair(s) left")
+            }
+            ResolveOutcome::AlreadySatisfied => panic!("{name}: already satisfied"),
+        }
+    }
+}
