@@ -31,9 +31,9 @@
 //!   unmarked place can never fire: `x(t) = 0`.
 
 use ilp::{CmpOp, LpProblem};
-use lint::{cut_basis, Proofs};
+use lint::{balance_terms, cut_basis, Proofs};
 use petri::{IncidenceMatrix, PlaceId, TransitionId};
-use stg::{Edge, Label, Signal, Stg};
+use stg::{Label, Stg};
 
 /// The shared base system plus the per-property target lists.
 pub(crate) struct System {
@@ -54,22 +54,6 @@ pub(crate) struct System {
     pub(crate) reduced_places: u64,
     /// Structural cut rows added to the base system.
     pub(crate) valid_cuts: u64,
-}
-
-/// Per-signal balance terms: `+1` per rise, `−1` per fall, offset by
-/// `var_base` (mirrors the lint relaxation encoding).
-fn balance_terms(stg: &Stg, z: Signal, var_base: usize) -> Vec<(usize, i64)> {
-    let mut terms = Vec::new();
-    for t in stg.transitions_of(z) {
-        if let Label::SignalEdge(_, edge) = stg.label(t) {
-            let sign = match edge {
-                Edge::Rise => 1,
-                Edge::Fall => -1,
-            };
-            terms.push((var_base + t.index(), sign));
-        }
-    }
-    terms
 }
 
 /// Builds the base system and target lists for `stg`. `proofs` gates

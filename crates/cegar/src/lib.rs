@@ -58,34 +58,32 @@ pub enum CegarProperty {
     Csc,
 }
 
+/// Memo-entry cap for each token-game replay.
+const MAX_REPLAY_ENTRIES: usize = 100_000;
+
+/// Cap on the total firing count of a candidate vector; larger
+/// candidates are treated as undecided rather than replayed.
+const MAX_REPLAY_TOTAL: i64 = 4_096;
+
 /// Tunables for [`check`]. The defaults are sized for the benchmark
 /// families; callers under a budget thread their [`StopGuard`] in.
+/// Each LP solve runs under [`LpOptions::default`]'s pivot cap.
 #[derive(Debug, Clone)]
 pub struct CegarOptions {
     /// Stop condition polled between targets, at branch-node heads and
     /// inside replays. Covers secondary (race-loser) flags.
     pub guard: StopGuard,
-    /// Simplex pivot cap per LP solve.
-    pub max_pivots: usize,
     /// Branch-and-bound node cap per conflict target; reaching it
     /// makes the final verdict `Unknown` (but other targets are still
     /// searched for a refutation).
     pub max_nodes_per_target: u64,
-    /// Memo-entry cap for each token-game replay.
-    pub max_replay_entries: usize,
-    /// Cap on the total firing count of a candidate vector; larger
-    /// candidates are treated as undecided rather than replayed.
-    pub max_replay_total: i64,
 }
 
 impl Default for CegarOptions {
     fn default() -> Self {
         CegarOptions {
             guard: StopGuard::unlimited(),
-            max_pivots: 50_000,
             max_nodes_per_target: 4_000,
-            max_replay_entries: 100_000,
-            max_replay_total: 4_096,
         }
     }
 }
@@ -168,8 +166,8 @@ pub fn check(
     // The LP polls the whole guard, so a race supervisor's loser flag
     // stops a relaxation solve mid-pivot, not only at the next node.
     let lp = LpOptions {
-        max_pivots: options.max_pivots,
         guard: options.guard.clone(),
+        ..LpOptions::default()
     };
 
     // Fast path: the PR 5 relaxation proof. USC proved ⇒ CSC proved.
@@ -282,7 +280,7 @@ fn judge(
     let net = stg.net();
     let m0 = stg.initial_marking();
     let total: i64 = point.iter().sum();
-    if total > options.max_replay_total {
+    if total > MAX_REPLAY_TOTAL {
         return Judgement::Uncertain;
     }
     let mut counts = [vec![0u32; n], vec![0u32; n]];
@@ -304,7 +302,7 @@ fn judge(
     let mut cuts = Vec::new();
     let mut spurious = false;
     for (c, m) in counts.iter().zip([&m1, &m2]) {
-        match replay::realisable(net, m0, c, &options.guard, options.max_replay_entries) {
+        match replay::realisable(net, m0, c, &options.guard, MAX_REPLAY_ENTRIES) {
             Replay::Realisable => {}
             Replay::Unrealisable => {
                 spurious = true;

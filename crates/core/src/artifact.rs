@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use petri::{ExploreLimits, StopGuard};
 use stg::{CanonicalHash, SgError, StateGraph, Stg};
 use symbolic::SymbolicChecker;
-use unfolding::{EventRelations, OrderStrategy, Prefix, UnfoldError, UnfoldOptions};
+use unfolding::{EventRelations, Prefix, UnfoldError, UnfoldOptions};
 
 /// The unfolding stage: a finite complete prefix plus the event
 /// relations (causality/conflict/concurrency) the integer programs
@@ -45,9 +45,6 @@ pub struct PrefixArtifact {
     pub prefix: Arc<Prefix>,
     /// Precomputed event relations of `prefix`.
     pub relations: Arc<EventRelations>,
-    /// The adequate order the prefix was built with; a request for a
-    /// different order cannot reuse this artifact.
-    pub order: OrderStrategy,
 }
 
 /// Lazily-built, shareable verification artifacts of one STG.
@@ -147,10 +144,6 @@ impl Artifacts {
     /// number an engine reports as
     /// [`crate::ResourceReport::prefix_events_built`].
     ///
-    /// A cached prefix is reused only when it was built with the same
-    /// [`OrderStrategy`]; a mismatching request builds a fresh,
-    /// uncached prefix rather than evicting the resident one.
-    ///
     /// # Errors
     ///
     /// [`UnfoldError`] when construction aborts (event cap, guard,
@@ -162,14 +155,7 @@ impl Artifacts {
     ) -> Result<(PrefixArtifact, usize), UnfoldError> {
         let mut slot = relock(&self.prefix);
         if let Some(artifact) = slot.as_ref() {
-            if artifact.order == options.order {
-                return Ok((artifact.clone(), 0));
-            }
-            // Order mismatch: build fresh below, leaving the resident
-            // artifact in place for callers of the cached order.
-            let fresh = build_prefix(&self.stg, options, guard)?;
-            let built = fresh.prefix.num_events();
-            return Ok((fresh, built));
+            return Ok((artifact.clone(), 0));
         }
         let artifact = build_prefix(&self.stg, options, guard)?;
         let built = artifact.prefix.num_events();
@@ -282,11 +268,7 @@ fn build_prefix(
 ) -> Result<PrefixArtifact, UnfoldError> {
     let prefix = Prefix::of_stg_shared(stg, options, guard)?;
     let relations = Arc::new(EventRelations::of(&prefix));
-    Ok(PrefixArtifact {
-        prefix,
-        relations,
-        order: options.order,
-    })
+    Ok(PrefixArtifact { prefix, relations })
 }
 
 #[cfg(test)]
@@ -307,22 +289,6 @@ mod tests {
         assert_eq!(rebuilt, 0, "warm call constructs nothing");
         assert!(Arc::ptr_eq(&first.prefix, &second.prefix));
         assert!(Arc::ptr_eq(&first.relations, &second.relations));
-    }
-
-    #[test]
-    fn order_mismatch_builds_fresh_without_evicting() {
-        let artifacts = Artifacts::of(&vme_read());
-        let guard = StopGuard::default();
-        let erv = UnfoldOptions::new().order(OrderStrategy::ErvTotal);
-        let mcm = UnfoldOptions::new().order(OrderStrategy::McMillan);
-        let (cached, _) = artifacts.prefix(erv, &guard).unwrap();
-        let (other, built) = artifacts.prefix(mcm, &guard).unwrap();
-        assert!(built > 0, "mismatched order cannot reuse the cache");
-        assert!(!Arc::ptr_eq(&cached.prefix, &other.prefix));
-        // The resident ERV artifact survived.
-        let (again, rebuilt) = artifacts.prefix(erv, &guard).unwrap();
-        assert_eq!(rebuilt, 0);
-        assert!(Arc::ptr_eq(&cached.prefix, &again.prefix));
     }
 
     #[test]

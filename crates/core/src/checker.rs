@@ -13,31 +13,17 @@ use crate::exprs::{code_diff_expr, marking_exprs};
 use crate::witness::{ConflictKind, ConflictWitness, NormalcyWitness};
 
 /// Options of a [`Checker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The explicit marking-equation compatibility constraints
+/// (`M_in + I·x ≥ 0`) follow `solver.use_closure`: they are redundant
+/// while closure propagation is on, and added exactly when it is off
+/// (the generic-solver reference of Theorem 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckerOptions {
     /// Prefix-construction options.
     pub unfold: UnfoldOptions,
     /// Search-engine options.
     pub solver: SolverOptions,
-    /// Apply the §7 restriction to ordered configuration pairs when
-    /// the prefix shows the net is dynamically conflict-free.
-    pub conflict_free_optimisation: bool,
-    /// Add the explicit marking-equation compatibility constraints
-    /// (`M_in + I·x ≥ 0`). Redundant with closure propagation on;
-    /// required for the generic-solver ablation
-    /// (`solver.use_closure = false`).
-    pub compatibility_constraints: bool,
-}
-
-impl Default for CheckerOptions {
-    fn default() -> Self {
-        CheckerOptions {
-            unfold: UnfoldOptions::default(),
-            solver: SolverOptions::default(),
-            conflict_free_optimisation: true,
-            compatibility_constraints: false,
-        }
-    }
 }
 
 /// The pairs `(C′, C″)` a conflict search ranges over.
@@ -218,13 +204,13 @@ impl<'a> Checker<'a> {
         &self.options
     }
 
-    /// A fresh pair problem with cut-off constraints (and, when
-    /// enabled, compatibility constraints).
+    /// A fresh pair problem with cut-off constraints (and, with
+    /// closure propagation off, compatibility constraints).
     pub(crate) fn base_problem(&self, sides: usize) -> Problem<'_> {
         let mut problem = Problem::new(&self.relations, sides);
         let prefix = &self.prefix;
         problem.fix_cutoffs(|e| prefix.is_cutoff(e));
-        if self.options.compatibility_constraints {
+        if !self.options.solver.use_closure {
             problem.add_compatibility_constraints(prefix);
         }
         problem
@@ -241,9 +227,8 @@ impl<'a> Checker<'a> {
     /// A pair problem for the §3 conflict constraints
     /// `Code(x⁰) = Code(x¹)` and `M⁰ ≠ M¹`, searched over `space` when
     /// the prefix admits it. Returns the problem and the space actually
-    /// applied: the §7 spaces need a dynamically conflict-free prefix
-    /// and [`CheckerOptions::conflict_free_optimisation`], and fall back
-    /// to [`PairSpace::Lex`] otherwise.
+    /// applied: the §7 spaces need a dynamically conflict-free prefix,
+    /// and fall back to [`PairSpace::Lex`] otherwise.
     fn conflict_problem(&self, space: PairSpace) -> (Problem<'_>, PairSpace) {
         let mut problem = self.base_problem(2);
         self.add_code_equality(&mut problem);
@@ -259,10 +244,7 @@ impl<'a> Checker<'a> {
         let np = self.stg.net().num_places();
         let lhs = marking_exprs(problem, &self.prefix, np, 0);
         let rhs = marking_exprs(problem, &self.prefix, np, 1);
-        if space == PairSpace::Lex
-            || !self.options.conflict_free_optimisation
-            || !self.prefix.is_dynamically_conflict_free()
-        {
+        if space == PairSpace::Lex || !self.prefix.is_dynamically_conflict_free() {
             problem.add_lex_less(lhs, rhs);
             return PairSpace::Lex;
         }
@@ -696,19 +678,30 @@ mod tests {
         // Generic-IP mode: no closure, explicit compatibility.
         let mut options = CheckerOptions::default();
         options.solver.use_closure = false;
-        options.compatibility_constraints = true;
         let generic = Checker::with_options(&stg, options).unwrap();
         let CheckOutcome::Conflict(w) = generic.check_csc().unwrap() else {
             panic!("generic mode must also find the conflict");
         };
         assert!(w.replay(&stg));
-        // Conflict-free optimisation off.
-        let options = CheckerOptions {
-            conflict_free_optimisation: false,
-            ..Default::default()
-        };
-        let plain = Checker::with_options(&stg, options).unwrap();
-        assert!(!plain.check_csc().unwrap().is_satisfied());
+    }
+
+    #[test]
+    fn closure_off_alone_brings_the_compatibility_constraints() {
+        let mut options = CheckerOptions::default();
+        options.solver.use_closure = false;
+        for stg in [counterflow_sym(2, 2), dup_4ph(1, true)] {
+            let checker = Checker::with_options(&stg, options).unwrap();
+            assert!(checker.check_usc().unwrap().is_satisfied());
+            assert!(checker.check_csc().unwrap().is_satisfied());
+        }
+        let stg = vme_read();
+        let checker = Checker::with_options(&stg, options).unwrap();
+        for outcome in [checker.check_usc().unwrap(), checker.check_csc().unwrap()] {
+            let CheckOutcome::Conflict(w) = outcome else {
+                panic!("VME is conflicted");
+            };
+            assert!(w.replay(&stg));
+        }
     }
 
     #[test]
@@ -744,35 +737,6 @@ mod tests {
             .is_empty());
     }
 
-    #[test]
-    fn all_option_permutations_agree() {
-        use ilp::{ValueOrder, VarOrder};
-        let cases = [vme_read(), counterflow_sym(2, 2), dup_4ph(1, true)];
-        for stg in &cases {
-            let expected = Checker::new(stg)
-                .unwrap()
-                .check_csc()
-                .unwrap()
-                .is_satisfied();
-            for value_order in [ValueOrder::OneFirst, ValueOrder::ZeroFirst] {
-                for var_order in [VarOrder::DescendingEvents, VarOrder::AscendingEvents] {
-                    for cf_opt in [true, false] {
-                        let mut options = CheckerOptions::default();
-                        options.solver.value_order = value_order;
-                        options.solver.var_order = var_order;
-                        options.conflict_free_optimisation = cf_opt;
-                        let checker = Checker::with_options(stg, options).unwrap();
-                        assert_eq!(
-                            checker.check_csc().unwrap().is_satisfied(),
-                            expected,
-                            "options must not change verdicts"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Whether `(c1, c2)` is a minimal pair: `c1 = ↓D ∖ D`, `D = c2 ∖ c1`.
     fn is_minimal_pair(prefix: &Prefix, c1: &BitSet, c2: &BitSet) -> bool {
         let mut d = c2.clone();
@@ -786,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn minimal_pair_rows_need_a_conflict_free_prefix_and_the_option() {
+    fn minimal_pair_rows_need_a_conflict_free_prefix() {
         let chained = counterflow_sym(2, 2);
         let checker = Checker::new(&chained).unwrap();
         assert!(checker.prefix().is_dynamically_conflict_free());
@@ -801,15 +765,6 @@ mod tests {
         let arbiter = mutex_arbiter(2);
         let checker = Checker::new(&arbiter).unwrap();
         assert!(!checker.prefix().is_dynamically_conflict_free());
-        let (problem, space) = checker.conflict_problem(PairSpace::MinimalChain);
-        assert_eq!(space, PairSpace::Lex);
-        assert!(!problem.subset_chain());
-        // Nor does a conflict-free prefix with the option off.
-        let options = CheckerOptions {
-            conflict_free_optimisation: false,
-            ..Default::default()
-        };
-        let checker = Checker::with_options(&chained, options).unwrap();
         let (problem, space) = checker.conflict_problem(PairSpace::MinimalChain);
         assert_eq!(space, PairSpace::Lex);
         assert!(!problem.subset_chain());

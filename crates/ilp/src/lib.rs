@@ -32,8 +32,10 @@
 //! unassigned terms, and each decision branches inside the first
 //! `Linear` constraint with the fewest unassigned terms (at least
 //! one), on its unassigned variable that comes first in the static
-//! order of [`VarOrder`]. Once every `Linear` constraint is fully
-//! assigned, the static order decides alone. A row with few free terms
+//! order: descending event id, so causally deep events, whose
+//! closure pulls whole histories in, are decided first. Once every
+//! `Linear` constraint is fully assigned, the static order decides
+//! alone. Every decision tries `x(e) = 1` before `x(e) = 0`. A row with few free terms
 //! is the one closest to forcing or failing, so deciding inside it
 //! ends a doomed branch early: on the conflict-free MULLER family the
 //! absence proof grows polynomially instead of exponentially.
@@ -89,6 +91,4 @@ pub use constraint::{CmpOp, Constraint};
 pub use expr::{LinExpr, Var};
 pub use lp::{LpFeasibility, LpOptions, LpProblem};
 pub use problem::Problem;
-pub use solver::{
-    AbortCause, SearchStats, SolveError, Solver, SolverOptions, ValueOrder, VarOrder,
-};
+pub use solver::{AbortCause, SearchStats, SolveError, Solver, SolverOptions};

@@ -10,36 +10,6 @@ use crate::expr::Var;
 use crate::problem::Problem;
 use crate::slots::SlotTable;
 
-/// Which value a decision tries first. Trying 1 first drives the
-/// search towards large configurations quickly (good when a conflict
-/// is expected to exist); 0 first proves absence on shallow prefixes
-/// faster in some families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValueOrder {
-    /// Try `x(e) = 1` first.
-    #[default]
-    OneFirst,
-    /// Try `x(e) = 0` first.
-    ZeroFirst,
-}
-
-/// The static decision order. It is the tie-break of the solver's
-/// fail-first rule — each decision branches inside the `Linear`
-/// constraint with the fewest unassigned terms, on the term that
-/// comes first in this order — and it decides alone once every
-/// `Linear` constraint is fully assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VarOrder {
-    /// Decide late (causally deep) events first: assigning them pulls
-    /// whole histories in via closure, so each decision is maximally
-    /// informative.
-    #[default]
-    DescendingEvents,
-    /// Decide early events first (weaker propagation; kept as an
-    /// ablation).
-    AscendingEvents,
-}
-
 /// Search options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverOptions {
@@ -47,10 +17,6 @@ pub struct SolverOptions {
     /// this reproduces the paper's "standard solver" baseline; the
     /// problem must then carry explicit compatibility constraints.
     pub use_closure: bool,
-    /// First value tried at each decision.
-    pub value_order: ValueOrder,
-    /// Static decision order: the fail-first rule's tie-break.
-    pub var_order: VarOrder,
     /// Abort (with [`SearchStats::aborted`] set) after this many
     /// propagation steps.
     pub max_steps: u64,
@@ -60,8 +26,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             use_closure: true,
-            value_order: ValueOrder::OneFirst,
-            var_order: VarOrder::DescendingEvents,
             max_steps: u64::MAX,
         }
     }
@@ -125,9 +89,11 @@ impl fmt::Display for SolveError {
 
 impl Error for SolveError {}
 
+/// A branching point. Every decision tries `x(e) = 1` first, which
+/// pulls the event's whole history in by closure; `flipped` marks
+/// that the `x(e) = 0` branch is the one being explored.
 struct Decision {
     var: Var,
-    first: bool,
     flipped: bool,
     trail_len: usize,
     scan_from: usize,
@@ -161,10 +127,7 @@ pub struct Solver<'p, 'r> {
 impl<'p, 'r> Solver<'p, 'r> {
     /// Prepares a solver for `problem`.
     pub fn new(problem: &'p Problem<'r>, options: SolverOptions) -> Self {
-        let mut order = problem.decision_order_or_default();
-        if options.var_order == VarOrder::AscendingEvents {
-            order.reverse();
-        }
+        let order = problem.decision_order_or_default();
         let mut rank = vec![0; order.len()];
         for (pos, v) in order.iter().enumerate() {
             rank[v.index()] = pos as u32;
@@ -354,17 +317,15 @@ impl<'p, 'r> Solver<'p, 'r> {
             }
             match self.next_decision(scan_from) {
                 Some((v, next_scan)) => {
-                    let first = matches!(self.options.value_order, ValueOrder::OneFirst);
                     decisions.push(Decision {
                         var: v,
-                        first,
                         flipped: false,
                         trail_len: self.trail.len(),
                         scan_from,
                     });
                     scan_from = next_scan;
                     self.stats.decisions += 1;
-                    self.queue.push_back((v, first));
+                    self.queue.push_back((v, true));
                 }
                 None => {
                     // Total assignment.
@@ -434,9 +395,7 @@ impl<'p, 'r> Solver<'p, 'r> {
             }
             top.flipped = true;
             self.unwind_to(top.trail_len);
-            let v = top.var;
-            let second = !top.first;
-            self.queue.push_back((v, second));
+            self.queue.push_back((top.var, false));
             if self.propagate() {
                 return true;
             }
@@ -889,39 +848,5 @@ mod tests {
         // {}⊆ all 4, {a}⊆{a},{a,b}, {c}⊆{c}, {a,b}⊆{a,b} => 4+2+1+1 = 8.
         assert_eq!(checked, 8);
         let _ = prefix;
-    }
-
-    #[test]
-    fn ascending_order_explores_same_space() {
-        let (_prefix, rel) = prefix();
-        let problem = Problem::new(&rel, 1);
-        let options = SolverOptions {
-            var_order: VarOrder::AscendingEvents,
-            ..Default::default()
-        };
-        let mut solver = Solver::new(&problem, options);
-        let mut count = 0;
-        solver.solve(|_| {
-            count += 1;
-            false
-        });
-        assert_eq!(count, 4);
-    }
-
-    #[test]
-    fn zero_first_explores_same_space() {
-        let (_prefix, rel) = prefix();
-        let problem = Problem::new(&rel, 1);
-        let options = SolverOptions {
-            value_order: ValueOrder::ZeroFirst,
-            ..Default::default()
-        };
-        let mut solver = Solver::new(&problem, options);
-        let mut count = 0;
-        solver.solve(|_| {
-            count += 1;
-            false
-        });
-        assert_eq!(count, 4);
     }
 }

@@ -53,7 +53,9 @@ pub use diag::{
     classify_parse_error, render_human as render_diagnostics, Code, Diagnostic, Severity, Span,
 };
 pub use ilp::{LpFeasibility, LpOptions};
-pub use relax::{prove as relaxation_proofs, safe_places as semiflow_safe_places, Proofs};
+pub use relax::{
+    balance_terms, prove as relaxation_proofs, safe_places as semiflow_safe_places, Proofs,
+};
 pub use structure::{analyse as analyse_structure, Approximation, Classes, StructureReport};
 
 use stg::Stg;

@@ -61,9 +61,9 @@ pub struct Proofs {
     /// The USC LP relaxation was infeasible for every place: USC —
     /// and therefore CSC — holds, with no state-space exploration.
     pub usc_proved: bool,
-    /// At least one LP abstained (overflow or pivot budget), so a
-    /// missing proof may be a solver limit rather than a real
-    /// near-violation.
+    /// At least one LP abstained (overflow, pivot budget or the
+    /// guard), or the guard cut the semiflow pass short, so a missing
+    /// proof may be a solver limit rather than a real near-violation.
     pub lp_abstained: bool,
     /// LP feasibility solves the consistency and USC relaxations ran.
     pub lp_solves: u64,
@@ -93,6 +93,7 @@ pub fn prove(stg: &Stg, lp: bool, lp_options: &LpOptions) -> Proofs {
 fn semiflow_safeness(stg: &Stg, guard: &StopGuard, proofs: &mut Proofs) {
     let net = stg.net();
     let Some(flows) = p_semiflows_guarded(net, FarkasLimits::default(), guard) else {
+        proofs.lp_abstained |= guard.poll_now().is_err();
         return;
     };
     let safe = safe_places(stg, &flows);
@@ -125,7 +126,7 @@ pub fn safe_places(stg: &Stg, flows: &[Vec<i64>]) -> Vec<bool> {
 
 /// Per-signal balance terms: `+1` per rise, `−1` per fall, offset by
 /// `var_base` so the same signal can appear for `x′` and `x″`.
-fn balance_terms(stg: &Stg, z: Signal, var_base: usize) -> Vec<(usize, i64)> {
+pub fn balance_terms(stg: &Stg, z: Signal, var_base: usize) -> Vec<(usize, i64)> {
     let mut terms = Vec::new();
     for t in stg.transitions_of(z) {
         if let Label::SignalEdge(_, edge) = stg.label(t) {
@@ -382,5 +383,17 @@ a- a+
         assert!(p.net_safe);
         assert!(!p.usc_proved);
         assert!(p.consistent_signals.is_empty());
+    }
+
+    #[test]
+    fn a_deadline_that_cuts_the_semiflow_pass_is_reported() {
+        let stg = stg::gen::pipeline::muller_pipeline(100);
+        let expired = LpOptions {
+            guard: StopGuard::new(None, Some(std::time::Instant::now())),
+            ..LpOptions::default()
+        };
+        let p = prove(&stg, false, &expired);
+        assert_eq!(p.safe_places, 0, "{p:?}");
+        assert!(p.lp_abstained, "{p:?}");
     }
 }

@@ -19,7 +19,7 @@ use petri::{BitSet, Marking, Net, PlaceId, StopGuard, StopReason, TransitionId};
 use stg::Stg;
 
 use crate::occ::{CondData, CondId, CutoffMate, EventData, EventId, Prefix};
-use crate::order::{OrderKey, OrderStrategy};
+use crate::order::OrderKey;
 
 /// Options controlling prefix construction.
 ///
@@ -29,11 +29,9 @@ use crate::order::{OrderKey, OrderStrategy};
 /// this crate. The fields stay readable everywhere.
 ///
 /// ```
-/// use unfolding::{OrderStrategy, UnfoldOptions};
+/// use unfolding::UnfoldOptions;
 ///
-/// let options = UnfoldOptions::new()
-///     .order(OrderStrategy::McMillan)
-///     .max_events(10_000);
+/// let options = UnfoldOptions::new().max_events(10_000);
 /// assert_eq!(options.max_events, 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,16 +40,13 @@ pub struct UnfoldOptions {
     /// Abort with [`UnfoldError::TooManyEvents`] beyond this many
     /// events (a guard against unbounded or explosive nets).
     pub max_events: usize,
-    /// The adequate order used for queueing and cut-offs.
-    pub order: OrderStrategy,
 }
 
 impl UnfoldOptions {
-    /// The default options: ERV total order, 200 000-event cap.
+    /// The default options: a 200 000-event cap.
     pub fn new() -> Self {
         UnfoldOptions {
             max_events: 200_000,
-            order: OrderStrategy::ErvTotal,
         }
     }
 
@@ -59,13 +54,6 @@ impl UnfoldOptions {
     #[must_use]
     pub fn max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
-        self
-    }
-
-    /// Sets the adequate order.
-    #[must_use]
-    pub fn order(mut self, order: OrderStrategy) -> Self {
-        self.order = order;
         self
     }
 }
@@ -153,16 +141,12 @@ impl Eq for Pe {}
 
 impl Ord for Pe {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Full ERV comparison (harmless refinement under McMillan,
-        // whose keys carry empty Parikh/Foata parts), with the
-        // insertion sequence as a final deterministic tie-break.
-        // Reversed so that BinaryHeap pops the minimum.
+        // The ERV order, with the insertion sequence as a final
+        // deterministic tie-break. Reversed so that BinaryHeap pops
+        // the minimum.
         other
             .key
-            .size
-            .cmp(&self.key.size)
-            .then_with(|| other.key.parikh.cmp(&self.key.parikh))
-            .then_with(|| other.key.foata.cmp(&self.key.foata))
+            .compare(&self.key)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -218,10 +202,7 @@ impl<'a> Builder<'a> {
     fn new(net: &'a Net, m0: &'a Marking, options: UnfoldOptions) -> Self {
         let empty_key = OrderKey {
             size: 0,
-            parikh: match options.order {
-                OrderStrategy::McMillan => Vec::new(),
-                OrderStrategy::ErvTotal => vec![0u16; net.num_transitions()],
-            },
+            parikh: vec![0u16; net.num_transitions()],
             foata: Vec::new(),
         };
         Builder {
@@ -291,7 +272,6 @@ impl<'a> Builder<'a> {
             .clone()
             .max_by_key(|p| (self.events[p.index()].size, Reverse(*p)))
             .map(|p| &self.events[p.index()]);
-        let erv = self.options.order == OrderStrategy::ErvTotal;
         let nt = self.net.num_transitions();
         let (mut history, mut parikh, mut foata) = match base {
             Some(data) => {
@@ -305,28 +285,22 @@ impl<'a> Builder<'a> {
                 Vec::new(),
             ),
         };
-        if erv {
-            foata.resize(depth as usize, vec![0u16; nt]);
-        }
+        foata.resize(depth as usize, vec![0u16; nt]);
         for p in producers {
             if history.contains(p.index()) {
                 continue;
             }
             let mut local = self.events[p.index()].local.clone();
             local.grow(capacity);
-            if erv {
-                for f in local.iter_difference(&history) {
-                    let data = &self.events[f];
-                    parikh[data.transition.index()] += 1;
-                    foata[(data.depth - 1) as usize][data.transition.index()] += 1;
-                }
+            for f in local.iter_difference(&history) {
+                let data = &self.events[f];
+                parikh[data.transition.index()] += 1;
+                foata[(data.depth - 1) as usize][data.transition.index()] += 1;
             }
             history.union_with(&local);
         }
-        if erv {
-            parikh[t.index()] += 1;
-            foata[(depth - 1) as usize][t.index()] += 1;
-        }
+        parikh[t.index()] += 1;
+        foata[(depth - 1) as usize][t.index()] += 1;
         (
             OrderKey {
                 size: history.len() as u32 + 1,
@@ -340,34 +314,21 @@ impl<'a> Builder<'a> {
 
     /// `Mark([e])` for a possible extension `e`, by the marking
     /// equation `M0 + N·#[e]`: exact for the configurations of a safe
-    /// net's unfolding. The ERV key carries the Parikh vector `#[e]`;
-    /// under McMillan's order the history is counted instead.
+    /// net's unfolding. The key carries the Parikh vector `#[e]`.
     fn extension_marking(&mut self, pe: &Pe) -> Marking {
         let net = self.net;
         let tokens = &mut self.scratch.tokens;
         tokens.clear();
         tokens.extend(self.m0.as_slice().iter().map(|&k| k as i32));
-        let mut fire = |u: TransitionId, k: i32| {
-            for &p in net.preset(u) {
-                tokens[p.index()] -= k;
-            }
-            for &p in net.postset(u) {
-                tokens[p.index()] += k;
-            }
-        };
-        match self.options.order {
-            OrderStrategy::ErvTotal => {
-                for (u, &k) in pe.key.parikh.iter().enumerate() {
-                    if k > 0 {
-                        fire(TransitionId::new(u), i32::from(k));
-                    }
+        for (u, &k) in pe.key.parikh.iter().enumerate() {
+            if k > 0 {
+                let u = TransitionId::new(u);
+                for &p in net.preset(u) {
+                    tokens[p.index()] -= i32::from(k);
                 }
-            }
-            OrderStrategy::McMillan => {
-                for f in pe.history.iter() {
-                    fire(self.events[f].transition, 1);
+                for &p in net.postset(u) {
+                    tokens[p.index()] += i32::from(k);
                 }
-                fire(pe.transition, 1);
             }
         }
         let mut marking = Marking::empty(net.num_places());
@@ -577,7 +538,7 @@ impl<'a> Builder<'a> {
                     CutoffMate::Initial => &self.empty_key,
                     CutoffMate::Event(f) => &self.events[f.index()].key,
                 };
-                mate_key.is_strictly_less(&key, self.options.order)
+                mate_key.is_strictly_less(&key)
             });
             if mate.is_none() {
                 mates.push(CutoffMate::Event(id));
@@ -882,19 +843,6 @@ mod tests {
         let prefix = Prefix::unfold_guarded(&net, &m0, UnfoldOptions::default(), &guard)
             .expect("cleared guard must not interrupt");
         assert!(prefix.num_events() > 0);
-    }
-
-    #[test]
-    fn mcmillan_prefix_is_no_smaller() {
-        let (net, m0) = parallel();
-        let erv = Prefix::unfold(&net, &m0, UnfoldOptions::default()).unwrap();
-        let mcm = Prefix::unfold(
-            &net,
-            &m0,
-            UnfoldOptions::new().order(OrderStrategy::McMillan),
-        )
-        .unwrap();
-        assert!(mcm.num_events() >= erv.num_events());
     }
 
     #[test]

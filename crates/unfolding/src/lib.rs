@@ -3,7 +3,7 @@
 //! Implements the partial-order substrate of the paper: occurrence
 //! nets, branching processes of a safe net system, configurations and
 //! cuts (§2.3), and the construction of a *finite complete prefix*
-//! with cut-off events using the McMillan/ERV algorithm with an
+//! with cut-off events using the ERV algorithm with its total
 //! adequate order (size → Parikh-lex → Foata normal form).
 //!
 //! The prefix is the structure on which the integer-programming
@@ -38,5 +38,5 @@ pub mod relations;
 
 pub use builder::{UnfoldError, UnfoldOptions, UnfoldStats};
 pub use occ::{CondId, CutoffMate, EventId, Prefix};
-pub use order::{OrderKey, OrderStrategy};
+pub use order::OrderKey;
 pub use relations::EventRelations;

@@ -223,9 +223,7 @@ impl Prefix {
     }
 
     /// The adequate-order key of `[e]` the event was queued and
-    /// committed with (size, Parikh vector, Foata normal form — the
-    /// Parikh/Foata parts are empty under
-    /// [`OrderStrategy::McMillan`](crate::OrderStrategy::McMillan)).
+    /// committed with (size, Parikh vector, Foata normal form).
     pub fn order_key(&self, e: EventId) -> &OrderKey {
         &self.events[e.index()].key
     }

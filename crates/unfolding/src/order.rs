@@ -6,32 +6,15 @@
 //! cut-off if some `f` with `Mark([f]) = Mark([e])` and `[f] ≺ [e]`
 //! exists" then yields a complete prefix.
 //!
-//! Two strategies are provided:
-//!
-//! * [`OrderStrategy::McMillan`] — compare sizes only (the original
-//!   1992 criterion; partial, so fewer cut-offs and larger prefixes);
-//! * [`OrderStrategy::ErvTotal`] — size, then Parikh vectors
-//!   lexicographically, then Foata normal forms (the ERV total order,
-//!   giving prefixes at most the size of the reachability graph).
+//! The unfolder uses the ERV total order for queueing possible
+//! extensions and deciding cut-offs: size, then Parikh vectors
+//! lexicographically, then Foata normal forms. Being total, it gives
+//! prefixes at most the size of the reachability graph.
 
 use std::cmp::Ordering;
 
-/// Which adequate order the unfolder uses for queueing possible
-/// extensions and deciding cut-offs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderStrategy {
-    /// Compare `|C|` only (partial order).
-    McMillan,
-    /// The ERV total order: `|C|`, then Parikh-lex, then Foata.
-    #[default]
-    ErvTotal,
-}
-
 /// A precomputed comparison key for the local configuration of a
-/// (possible) event. Keys are totally ordered; under
-/// [`OrderStrategy::McMillan`] the Parikh/Foata components are left
-/// empty so ties are broken arbitrarily but deterministically by the
-/// queue.
+/// (possible) event, totally ordered by the ERV order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderKey {
     /// `|[e]|`.
@@ -43,23 +26,19 @@ pub struct OrderKey {
 }
 
 impl OrderKey {
-    /// Compares under the given strategy: returns `Less` iff `self ≺
+    /// Compares under the ERV order: returns `Less` iff `self ≺
     /// other`.
-    pub fn compare(&self, other: &OrderKey, strategy: OrderStrategy) -> Ordering {
-        match strategy {
-            OrderStrategy::McMillan => self.size.cmp(&other.size),
-            OrderStrategy::ErvTotal => self
-                .size
-                .cmp(&other.size)
-                .then_with(|| self.parikh.cmp(&other.parikh))
-                .then_with(|| self.foata.cmp(&other.foata)),
-        }
+    pub fn compare(&self, other: &OrderKey) -> Ordering {
+        self.size
+            .cmp(&other.size)
+            .then_with(|| self.parikh.cmp(&other.parikh))
+            .then_with(|| self.foata.cmp(&other.foata))
     }
 
     /// Whether `self` is strictly smaller — the condition for using a
     /// mate as a cut-off justification.
-    pub fn is_strictly_less(&self, other: &OrderKey, strategy: OrderStrategy) -> bool {
-        self.compare(other, strategy) == Ordering::Less
+    pub fn is_strictly_less(&self, other: &OrderKey) -> bool {
+        self.compare(other) == Ordering::Less
     }
 }
 
@@ -79,16 +58,14 @@ mod tests {
     fn size_dominates() {
         let a = key(1, vec![9, 9], vec![]);
         let b = key(2, vec![0, 0], vec![]);
-        assert_eq!(a.compare(&b, OrderStrategy::ErvTotal), Ordering::Less);
-        assert_eq!(a.compare(&b, OrderStrategy::McMillan), Ordering::Less);
+        assert_eq!(a.compare(&b), Ordering::Less);
     }
 
     #[test]
-    fn parikh_breaks_size_ties_only_for_erv() {
+    fn parikh_breaks_size_ties() {
         let a = key(2, vec![2, 0], vec![]);
         let b = key(2, vec![1, 1], vec![]);
-        assert_eq!(a.compare(&b, OrderStrategy::ErvTotal), Ordering::Greater);
-        assert_eq!(a.compare(&b, OrderStrategy::McMillan), Ordering::Equal);
+        assert_eq!(a.compare(&b), Ordering::Greater);
     }
 
     #[test]
@@ -97,15 +74,15 @@ mod tests {
         // configuration has more levels with smaller first level.
         let a = key(2, vec![1, 1], vec![vec![1, 0], vec![0, 1]]);
         let b = key(2, vec![1, 1], vec![vec![1, 1]]);
-        assert_ne!(a.compare(&b, OrderStrategy::ErvTotal), Ordering::Equal);
+        assert_ne!(a.compare(&b), Ordering::Equal);
     }
 
     #[test]
     fn strictness() {
         let a = key(1, vec![1], vec![vec![1]]);
         let b = key(1, vec![1], vec![vec![1]]);
-        assert!(!a.is_strictly_less(&b, OrderStrategy::ErvTotal));
+        assert!(!a.is_strictly_less(&b));
         let c = key(2, vec![2], vec![vec![1], vec![1]]);
-        assert!(a.is_strictly_less(&c, OrderStrategy::ErvTotal));
+        assert!(a.is_strictly_less(&c));
     }
 }

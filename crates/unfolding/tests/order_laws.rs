@@ -1,6 +1,6 @@
 //! Laws of the adequate order, validated on real prefixes: the order
-//! must refine set inclusion of local configurations, be total under
-//! the ERV strategy, and cut-offs must always point at strictly
+//! must refine set inclusion of local configurations, be total on
+//! them, and cut-offs must always point at strictly
 //! smaller mates.
 
 use std::cmp::Ordering;
@@ -10,7 +10,7 @@ use stg::gen::duplex::dup_4ph;
 use stg::gen::pipeline::muller_pipeline;
 use stg::gen::vme::vme_read;
 use stg::Stg;
-use unfolding::order::{OrderKey, OrderStrategy};
+use unfolding::order::OrderKey;
 use unfolding::{CutoffMate, EventId, Prefix, UnfoldOptions};
 
 fn models() -> Vec<Stg> {
@@ -56,10 +56,9 @@ fn order_refines_inclusion() {
                     let ka = key_of(&prefix, &stg, a);
                     let kb = key_of(&prefix, &stg, b);
                     assert!(
-                        ka.is_strictly_less(&kb, OrderStrategy::ErvTotal),
+                        ka.is_strictly_less(&kb),
                         "[{a}] ⊂ [{b}] must imply [{a}] ≺ [{b}]"
                     );
-                    assert!(ka.is_strictly_less(&kb, OrderStrategy::McMillan));
                 }
             }
         }
@@ -77,7 +76,7 @@ fn erv_order_is_total_on_local_configurations() {
                 }
                 let ka = key_of(&prefix, &stg, a);
                 let kb = key_of(&prefix, &stg, b);
-                if ka.compare(&kb, OrderStrategy::ErvTotal) == Ordering::Equal {
+                if ka.compare(&kb) == Ordering::Equal {
                     // Equal keys would have to mean identical Foata
                     // structure; assert they at least share Parikh
                     // vectors (distinct configurations *can* tie in
@@ -102,10 +101,7 @@ fn cutoff_mates_are_strictly_smaller() {
                 Some(CutoffMate::Event(f)) => {
                     let ke = key_of(&prefix, &stg, e);
                     let kf = key_of(&prefix, &stg, f);
-                    assert!(
-                        kf.is_strictly_less(&ke, OrderStrategy::ErvTotal),
-                        "mate [{f}] must be ≺ [{e}]"
-                    );
+                    assert!(kf.is_strictly_less(&ke), "mate [{f}] must be ≺ [{e}]");
                     assert!(!prefix.is_cutoff(f), "mates are never cut-offs themselves");
                 }
             }
@@ -122,7 +118,7 @@ fn event_insertion_respects_the_order() {
         let keys: Vec<OrderKey> = prefix.events().map(|e| key_of(&prefix, &stg, e)).collect();
         for w in keys.windows(2) {
             assert_ne!(
-                w[1].compare(&w[0], OrderStrategy::ErvTotal),
+                w[1].compare(&w[0]),
                 Ordering::Less,
                 "pop order must be nondecreasing"
             );

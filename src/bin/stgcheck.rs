@@ -5,7 +5,7 @@
 //! stgcheck lint <file.g> [--format json] [--no-lp]   static analysis + LP proofs
 //! stgcheck structure <file.g> [--format json]   net classes + concurrency + locks
 //! stgcheck info <file.g>                     structural stats + consistency
-//! stgcheck unfold <file.g> [--dot] [--mcmillan]   prefix stats (optionally DOT)
+//! stgcheck unfold <file.g> [--dot]          prefix stats (optionally DOT)
 //! stgcheck usc <file.g> [--engine E]         Unique State Coding check
 //! stgcheck csc <file.g> [--engine E]         Complete State Coding check
 //! stgcheck check <file.g> [--engine E]       usc + csc + normalcy, shared artifacts
@@ -25,7 +25,9 @@
 //! paper's engine against `explicit`). The `usc`/`csc` commands also
 //! accept budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
-//! code 3.
+//! code 3. A conflict found by the paper's engine prints its witness
+//! paths under any budget and engine; a conflict found by another
+//! engine prints `CONFLICT`.
 //!
 //! With `--server HOST:PORT` the `usc`/`csc`/`synthesize` commands
 //! ship the job to a running `stgd` instead of working in-process;
@@ -74,14 +76,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stg_coding_conflicts::csc_core::{
-    Artifacts, Budget, CheckOutcome, CheckRequest, Checker, Engine, Property, ResourceReport,
-    Verdict,
+    Artifacts, Budget, CheckRequest, Checker, Engine, Property, ResourceReport, Verdict, Witness,
 };
 use stg_coding_conflicts::lint;
 use stg_coding_conflicts::server::protocol::{engine_from_str, engine_names, BudgetSpec};
 use stg_coding_conflicts::server::{Client, RetryPolicy};
 use stg_coding_conflicts::stg::{self, Stg};
-use stg_coding_conflicts::unfolding::{self, OrderStrategy, Prefix, UnfoldOptions};
+use stg_coding_conflicts::unfolding::{self, Prefix, UnfoldOptions};
 
 /// Restores the default action of `SIGPIPE`, which the Rust runtime
 /// sets to "ignore": `println!` would then panic, with a backtrace, as
@@ -130,7 +131,7 @@ fn usage() -> String {
 }
 
 /// Every flag `stgcheck` knows, and whether it takes a value.
-const FLAGS: [(&str, bool); 11] = [
+const FLAGS: [(&str, bool); 10] = [
     ("--engine", true),
     ("--timeout-ms", true),
     ("--max-events", true),
@@ -140,7 +141,6 @@ const FLAGS: [(&str, bool); 11] = [
     ("--no-lp", false),
     ("--to-g", false),
     ("--dot", false),
-    ("--mcmillan", false),
     ("--resolved", false),
 ];
 
@@ -340,13 +340,7 @@ fn info(model: &Stg) -> Result<bool, String> {
 }
 
 fn unfold(model: &Stg, flags: &[String]) -> Result<bool, String> {
-    let order = if flags.iter().any(|f| f == "--mcmillan") {
-        OrderStrategy::McMillan
-    } else {
-        OrderStrategy::ErvTotal
-    };
-    let prefix =
-        Prefix::of_stg(model, UnfoldOptions::new().order(order)).map_err(|e| e.to_string())?;
+    let prefix = Prefix::of_stg(model, UnfoldOptions::new()).map_err(|e| e.to_string())?;
     if flags.iter().any(|f| f == "--dot") {
         print!("{}", unfolding::dot::to_dot(&prefix, model, "prefix"));
     } else {
@@ -366,50 +360,32 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
     }
     let engine = engine_flag(flags)?.unwrap_or(Engine::UnfoldingIlp);
     let budget = budget_flags(flags)?;
-    let unbudgeted = budget.deadline.is_none() && budget.max_events.is_none();
-    if engine == Engine::UnfoldingIlp && unbudgeted {
-        // Use the full checker so we can print witnesses.
-        let checker = Checker::new(model).map_err(|e| e.to_string())?;
-        let outcome = match property {
-            Property::Usc => checker.check_usc(),
-            Property::Csc => checker.check_csc(),
-            Property::Normalcy => unreachable!("handled separately"),
-        }
+    let run = request(model, property, engine, budget)
+        .run()
         .map_err(|e| e.to_string())?;
-        match outcome {
-            CheckOutcome::Satisfied => {
-                println!("{property:?}: satisfied");
-                Ok(0)
-            }
-            CheckOutcome::Conflict(w) => {
-                println!("{}", w.describe(model));
-                Ok(1)
-            }
+    let code = match run.verdict {
+        Verdict::Holds => {
+            println!("{property:?}: satisfied");
+            0
         }
-    } else {
-        let run = request(model, property, engine, budget)
-            .run()
-            .map_err(|e| e.to_string())?;
-        let code = match run.verdict {
-            Verdict::Holds => {
-                println!("{property:?}: satisfied");
-                0
-            }
-            Verdict::Violated(_) => {
-                println!("{property:?}: CONFLICT");
-                1
-            }
-            Verdict::Unknown(reason) => {
-                println!(
-                    "{property:?}: UNKNOWN ({reason}) after {:?} [engine {}]",
-                    run.report.elapsed, run.report.engine
-                );
-                3
-            }
-        };
-        print_engine_stats(&run.report);
-        Ok(code)
-    }
+        Verdict::Violated(Witness::Conflict(w)) => {
+            println!("{}", w.describe(model));
+            1
+        }
+        Verdict::Violated(_) => {
+            println!("{property:?}: CONFLICT");
+            1
+        }
+        Verdict::Unknown(reason) => {
+            println!(
+                "{property:?}: UNKNOWN ({reason}) after {:?} [engine {}]",
+                run.report.elapsed, run.report.engine
+            );
+            3
+        }
+    };
+    print_engine_stats(&run.report);
+    Ok(code)
 }
 
 /// An in-process check request. Under `race` it runs the schedule

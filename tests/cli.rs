@@ -103,17 +103,13 @@ fn unknown_flags_exit_2() {
 }
 
 #[test]
-fn mcmillan_prefix_not_smaller() {
-    let erv = stdout(&stgcheck(&["unfold", "assets/vme_read.g"]));
-    let mcm = stdout(&stgcheck(&["unfold", "assets/vme_read.g", "--mcmillan"]));
-    let events = |s: &str| -> usize {
-        s.split("|E| = ")
-            .nth(1)
-            .and_then(|t| t.split(',').next())
-            .and_then(|t| t.trim().parse().ok())
-            .expect("parse |E|")
-    };
-    assert!(events(&mcm) >= events(&erv));
+fn budgeted_csc_prints_the_same_witness() {
+    let unbudgeted = stgcheck(&["csc", "assets/vme_read.g"]);
+    let budgeted = stgcheck(&["csc", "assets/vme_read.g", "--timeout-ms", "5000"]);
+    assert_eq!(budgeted.status.code(), Some(1));
+    let witness = stdout(&unbudgeted);
+    assert!(witness.contains("CSC conflict"), "{witness}");
+    assert_eq!(stdout(&budgeted), witness);
 }
 
 #[test]
