@@ -570,26 +570,19 @@ fn run_explicit(
         Err(e) => return Err(CheckError::StateGraph(e.to_string())),
     };
     report.states = Some(sg.num_states());
-    let conflict_witness = |pair: Option<(petri::StateId, petri::StateId)>| {
-        pair.map_or(Witness::Unwitnessed, |(a, b)| {
-            Witness::States(Box::new((sg.marking(a).clone(), sg.marking(b).clone())))
+    // The first conflict pair in state order decides the verdict and
+    // is its witness.
+    let conflict_verdict = |pair: Option<(petri::StateId, petri::StateId)>| {
+        pair.map_or(Verdict::Holds, |(a, b)| {
+            Verdict::Violated(Witness::States(Box::new((
+                sg.marking(a).clone(),
+                sg.marking(b).clone(),
+            ))))
         })
     };
     let verdict = match property {
-        Property::Usc => {
-            if sg.satisfies_usc() {
-                Verdict::Holds
-            } else {
-                Verdict::Violated(conflict_witness(sg.first_usc_conflict()))
-            }
-        }
-        Property::Csc => {
-            if sg.satisfies_csc(stg) {
-                Verdict::Holds
-            } else {
-                Verdict::Violated(conflict_witness(sg.first_csc_conflict(stg)))
-            }
-        }
+        Property::Usc => conflict_verdict(sg.first_usc_conflict()),
+        Property::Csc => conflict_verdict(sg.first_csc_conflict(stg)),
         Property::Normalcy => {
             if sg.is_normal(stg) {
                 Verdict::Holds

@@ -5,6 +5,24 @@ use std::collections::HashMap;
 use petri::{PlaceId, TransitionId};
 use stg::{Edge, Label, SignalKind, Stg, StgBuilder, StgError};
 
+/// The split rule of an insertion, one entry per new transition in
+/// creation order: pair `i` of `hosts` threads a rising edge `u+`
+/// through place `hosts[i].0`, then a falling edge `u-` through
+/// `hosts[i].1`. Edge `k` splits its host place `p` into
+/// `p → u± → p'`: `p` keeps its producers and initial tokens, the new
+/// tail place `p'` takes its consumers.
+///
+/// [`insert_state_signal_multi`] builds this rule into a new [`Stg`];
+/// the resolver's scoring kernel patches it into the parent net's bit
+/// masks instead, with edge `k`'s tail at place index `|P| + k`.
+pub(crate) fn split_edges(
+    hosts: &[(PlaceId, PlaceId)],
+) -> impl Iterator<Item = (PlaceId, Edge)> + '_ {
+    hosts
+        .iter()
+        .flat_map(|&(p_plus, p_minus)| [(p_plus, Edge::Rise), (p_minus, Edge::Fall)])
+}
+
 /// Rebuilds `stg` with a fresh internal signal `name` whose rising
 /// edge is threaded through place `p_plus` and whose falling edge
 /// through place `p_minus`: each place `p` is split into
@@ -12,8 +30,8 @@ use stg::{Edge, Label, SignalKind, Stg, StgBuilder, StgError};
 /// and `p'` taking the consumers.
 ///
 /// The result is *not* guaranteed to be consistent — whether `u+` and
-/// `u-` alternate depends on the net's behaviour; the resolver
-/// verifies every candidate with the real checkers.
+/// `u-` alternate depends on the net's behaviour; the resolver's
+/// scoring kernel rejects the candidates where they do not.
 ///
 /// # Errors
 ///
@@ -49,7 +67,8 @@ pub fn insert_state_signal(
 /// As with the one-pair form, the result is *not* guaranteed to be
 /// consistent — the rises and falls must alternate along every
 /// execution, which depends on the net's behaviour — and the
-/// resolver verifies every candidate with the real checkers.
+/// resolver's scoring kernel rejects the candidates where they do
+/// not.
 ///
 /// # Errors
 ///
@@ -84,15 +103,10 @@ pub fn insert_state_signal_multi(
         tmap.insert(t, new);
     }
     let mut split: HashMap<PlaceId, TransitionId> = HashMap::new();
-    for &(p_plus, p_minus) in hosts {
-        let u_plus = b.edge(u, Edge::Rise);
-        let u_minus = b.edge(u, Edge::Fall);
+    for (host, edge) in split_edges(hosts) {
+        let ut = b.edge(u, edge);
         assert!(
-            split.insert(p_plus, u_plus).is_none(),
-            "each edge needs its own host place"
-        );
-        assert!(
-            split.insert(p_minus, u_minus).is_none(),
+            split.insert(host, ut).is_none(),
             "each edge needs its own host place"
         );
     }

@@ -12,12 +12,14 @@
 //!    likewise through `p⁻` (the paper's own Fig. 3 resolution — `u+`
 //!    on the `ldtack- → lds+` handover, `u-` on the `dsr- → d-` arc —
 //!    is one such candidate, verified in this crate's tests);
-//! 2. each candidate is scored and verified with this workspace's own
-//!    budgeted engines through a content-addressed
-//!    [`csc_core::Artifacts`] set, so the stages built while scoring
-//!    the winning candidate are *reused* by its final verification
-//!    and by any downstream re-check (incremental re-verification) —
-//!    the resolver can only return models that demonstrably pass;
+//! 2. each candidate is scored by a kernel that patches the split
+//!    into the parent net's bit masks and explores the result on safe
+//!    bitset markings, with no candidate net built. Only the candidate
+//!    a round adopts becomes an [`stg::Stg`], with a content-addressed
+//!    [`csc_core::Artifacts`] set: its final verification with this
+//!    workspace's own budgeted engines builds the prefix there, and
+//!    any downstream re-check reuses it (incremental re-verification)
+//!    — the resolver can only return models that demonstrably pass;
 //! 3. candidates are scored by remaining CSC conflict pairs; if one
 //!    signal does not suffice, the best candidate is kept and the
 //!    search iterates with another signal (up to a configurable
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod insert;
+mod kernel;
 mod pipeline;
 mod resolver;
 

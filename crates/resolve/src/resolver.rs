@@ -1,20 +1,21 @@
-//! The generate-and-test resolution loop, rebuilt on the budgeted
-//! [`CheckRequest`] / [`Artifacts`] core.
+//! The generate-and-test resolution loop.
 //!
-//! Every candidate insertion is scored through an [`Artifacts`] set
-//! keyed by `Stg::canonical_hash()`, so stages built while scoring a
-//! candidate (its unfolding prefix, its state graph) are *reused* by
-//! the final verification of that same candidate and by the
-//! pipeline's re-check — the incremental re-verification that stops
-//! the O(candidates × full-check) search from rebuilding the world
-//! per candidate. Reuse never crosses hashes: an insertion changes
+//! Each round scores every candidate insertion with the scoring
+//! kernel ([`crate::kernel`]): the parent net's arcs as bit masks,
+//! patched with the candidate's split and explored on safe bitset
+//! markings. No candidate is built as an [`Stg`]. Only the candidate a
+//! round adopts is built, once, with its own [`Artifacts`] set keyed
+//! by `Stg::canonical_hash()`. The final verification runs the
+//! paper's engine on the winner's set and returns the set, so the
+//! pipeline's re-check reuses the prefix it built (incremental
+//! re-verification). Reuse never crosses hashes: an insertion changes
 //! the canonical hash, so a modified net can never see stale stages.
 //!
 //! The whole search runs under one [`Budget`]: the wall-clock
 //! deadline and [`CancelToken`](csc_core::CancelToken) are polled
-//! between candidates and *inside* every prefix/state-graph build, so
-//! a hung-job watchdog can abort a resolution mid-candidate. A
-//! budget abort is a typed error ([`ResolveError::Exhausted`]),
+//! between candidates and *inside* every candidate's search and every
+//! build, so a hung-job watchdog can abort a resolution mid-candidate.
+//! A budget abort is a typed error ([`ResolveError::Exhausted`]),
 //! cleanly distinguished from a structurally broken candidate (which
 //! is skipped and counted in
 //! [`ResolveReport::candidates_broken`]).
@@ -27,10 +28,11 @@ use std::time::{Duration, Instant};
 use csc_core::{
     Artifacts, Budget, CheckError, CheckRequest, Engine, ExhaustionReason, Property, Verdict,
 };
-use petri::{ExploreLimits, PlaceId, StopGuard, TransitionId};
-use stg::Stg;
+use petri::{ExploreLimits, PlaceId, ReachError, StopGuard, StopReason, TransitionId};
+use stg::{SgError, Stg};
 
 use crate::insert::insert_state_signal_multi;
+use crate::kernel::{Parent, Score, Scorer};
 
 /// Options of [`resolve_csc`].
 #[derive(Debug, Clone)]
@@ -39,7 +41,8 @@ pub struct ResolverOptions {
     pub max_signals: usize,
     /// Resource budget for the whole resolution (deadline and
     /// cancellation are honoured between candidates and inside every
-    /// build; `max_states` caps each candidate's state graph).
+    /// search and build; `max_states` caps the states explored for the
+    /// input and for each candidate).
     pub budget: Budget,
 }
 
@@ -126,9 +129,9 @@ pub struct ResolveReport {
     pub initial_conflicts: usize,
     /// Candidate insertions scored across all rounds.
     pub candidates_tried: usize,
-    /// Candidates rejected as structurally broken (inconsistent,
-    /// unsafe, or over the per-candidate exploration caps) — skipped,
-    /// never silently mis-scored.
+    /// Candidates the scoring kernel found structurally broken
+    /// (inconsistent, unsafe, or over the per-candidate state cap) —
+    /// skipped, never silently mis-scored.
     pub candidates_broken: usize,
     /// Checks that reused an already-built artifact stage instead of
     /// rebuilding it (seeded initial score, warm final verification).
@@ -136,8 +139,9 @@ pub struct ResolveReport {
     /// One entry per greedy round, in order.
     pub rounds: Vec<RoundReport>,
     /// Prefix events the final verification built. Candidates are
-    /// scored on the state graph, so this is the winner's prefix, built
-    /// once here and reused by any later check on the returned set.
+    /// scored by the kernel's own search, with no prefix, so this is
+    /// the winner's prefix, built once here and reused by any later
+    /// check on the returned set.
     pub verify_prefix_events_built: Option<usize>,
     /// Total wall-clock time of the resolution.
     pub elapsed: Duration,
@@ -161,28 +165,23 @@ pub struct ResolveRun {
     pub artifacts: Option<Arc<Artifacts>>,
 }
 
-/// Typed score of one candidate: either a conflict-pair count or a
-/// structurally broken candidate. Budget aborts are *not* a score —
-/// they propagate as [`ResolveError::Exhausted`].
-enum Score {
-    /// CSC conflict pairs remaining in the candidate.
-    Conflicts(usize),
-    /// The candidate is inconsistent, unsafe, or exceeded the
-    /// per-candidate exploration caps; skip it.
-    Broken,
-}
-
-/// One scored candidate with its artifact set kept for reuse.
+/// The search's current net with its conflict count and artifact
+/// set.
 #[derive(Clone)]
 struct Scored {
     conflicts: usize,
-    /// Toggle pairs of the insertion that produced this net (0 for
-    /// the input). Ties in conflict count break toward *more*
-    /// toggles: each extra toggle pair refines the state code more
-    /// finely, so later rounds have strictly more separating power.
-    toggles: usize,
-    stg: Arc<Stg>,
     artifacts: Arc<Artifacts>,
+}
+
+/// The best candidate of a round so far: its score and host pairs.
+/// Only the candidate a round adopts is built as an [`Stg`].
+struct Best {
+    conflicts: usize,
+    /// One toggle pair per entry. Ties in conflict count break toward
+    /// *more* toggles: each extra toggle pair refines the state code
+    /// more finely, so later rounds have strictly more separating
+    /// power.
+    hosts: Vec<(PlaceId, PlaceId)>,
 }
 
 /// Best-scoring single-toggle candidates kept per round as the pool
@@ -209,7 +208,9 @@ const DOUBLE_CONFLICT_CAP: usize = 1024;
 ///
 /// The pool arrives in sweep order, and the stable sort keeps that
 /// order among equal scores.
-fn composed_doubles(pool: &mut Vec<(usize, (PlaceId, PlaceId))>) -> Vec<[(PlaceId, PlaceId); 2]> {
+pub(crate) fn composed_doubles(
+    pool: &mut Vec<(usize, (PlaceId, PlaceId))>,
+) -> Vec<[(PlaceId, PlaceId); 2]> {
     pool.sort_by_key(|&(s, _)| s);
     pool.truncate(POOL_CAP);
     let mut doubles = Vec::new();
@@ -232,7 +233,7 @@ fn composed_doubles(pool: &mut Vec<(usize, (PlaceId, PlaceId))>) -> Vec<[(PlaceI
 /// outcome; keying it on names rather than place numbers gives the
 /// same resolution for a net built by a generator and for the same
 /// net parsed back from `.g`, which numbers places in arc order.
-fn sweep_order(stg: &Stg) -> Vec<PlaceId> {
+pub(crate) fn sweep_order(stg: &Stg) -> Vec<PlaceId> {
     let net = stg.net();
     let names = |ts: &[TransitionId]| {
         let mut names: Vec<&str> = ts.iter().map(|&t| stg.transition_name(t)).collect();
@@ -250,85 +251,74 @@ fn sweep_order(stg: &Stg) -> Vec<PlaceId> {
     places
 }
 
-/// Inserts and scores one candidate insertion (one toggle pair per
-/// `hosts` entry), tracking the round's best. Ties in conflict count
-/// break toward more toggle pairs — the finer code refinement gives
-/// later rounds strictly more separating power at the same cost.
-/// Returns the candidate's conflict count, or `None` when it was
-/// unbuildable or broken; a returned `Some(0)` means the round is
-/// solved and scoring can stop.
+/// The name of the signal a round inserts: the first `csc{k}` that no
+/// signal of `stg` uses.
+fn fresh_signal_name(stg: &Stg) -> String {
+    let mut k = 0;
+    loop {
+        let name = format!("csc{k}");
+        if stg.signal_by_name(&name).is_none() {
+            return name;
+        }
+        k += 1;
+    }
+}
+
+/// A budget abort as a resolution error.
+fn exhausted(reason: StopReason) -> ResolveError {
+    ResolveError::Exhausted(reason.into())
+}
+
+/// Scores one candidate insertion into `parent` (one toggle pair per
+/// `hosts` entry) with the kernel, tracking the round's best. Ties in
+/// conflict count break toward more toggle pairs — the finer code
+/// refinement gives later rounds strictly more separating power at the
+/// same cost. Returns the candidate's conflict count, or `None` when
+/// it is broken; a returned `Some(0)` means the round is solved and
+/// scoring can stop.
 fn try_candidate(
-    current_stg: &Arc<Stg>,
-    name: &str,
+    parent: &Parent<'_>,
     hosts: &[(PlaceId, PlaceId)],
-    options: &ResolverOptions,
+    scorer: &mut Scorer,
+    max_states: usize,
     guard: &StopGuard,
     report: &mut ResolveReport,
-    best: &mut Option<Scored>,
+    best: &mut Option<Best>,
 ) -> Result<Option<usize>, ResolveError> {
     // A watchdog cancellation or an expired deadline aborts between
     // candidates even when every individual score is cheap.
-    guard
-        .poll()
-        .map_err(|r| ResolveError::Exhausted(r.into()))?;
-    let Ok(candidate) = insert_state_signal_multi(current_stg, name, hosts) else {
-        return Ok(None);
-    };
-    let candidate = Arc::new(candidate);
-    let artifacts = Arc::new(Artifacts::new(Arc::clone(&candidate)));
-    let s = match score(&artifacts, options, guard, report)? {
+    guard.poll().map_err(exhausted)?;
+    report.candidates_tried += 1;
+    let s = match scorer
+        .score(parent, hosts, max_states, guard)
+        .map_err(exhausted)?
+    {
         Score::Conflicts(s) => s,
         Score::Broken => {
             report.candidates_broken += 1;
             return Ok(None);
         }
     };
-    let toggles = hosts.len();
     if best
         .as_ref()
-        .is_none_or(|b| s < b.conflicts || (s == b.conflicts && toggles > b.toggles))
+        .is_none_or(|b| s < b.conflicts || (s == b.conflicts && hosts.len() > b.hosts.len()))
     {
-        *best = Some(Scored {
+        *best = Some(Best {
             conflicts: s,
-            toggles,
-            stg: candidate,
-            artifacts,
+            hosts: hosts.to_vec(),
         });
     }
     Ok(Some(s))
 }
 
-/// The state-graph limits of one score: the budget's `max_states`
-/// when set, the exploration defaults otherwise.
+/// The state-graph limits of the input's score, whose `max_states`
+/// also caps each candidate's search: the budget's `max_states` when
+/// set, the exploration defaults otherwise.
 fn explore_limits(budget: &Budget) -> ExploreLimits {
     let defaults = ExploreLimits::default();
     ExploreLimits {
         max_states: budget.max_states.unwrap_or(defaults.max_states),
         ..defaults
-    }
-}
-
-/// Scores `artifacts.stg()` by remaining CSC conflict pairs, counted
-/// on its explicit state graph.
-fn score(
-    artifacts: &Artifacts,
-    options: &ResolverOptions,
-    guard: &StopGuard,
-    report: &mut ResolveReport,
-) -> Result<Score, ResolveError> {
-    report.candidates_tried += 1;
-    match artifacts.state_graph(explore_limits(&options.budget), guard) {
-        Ok(sg) => Ok(Score::Conflicts(
-            sg.csc_conflict_pairs(artifacts.stg()).len(),
-        )),
-        // The caller's deadline/cancellation fired mid-build: abort
-        // the resolution, do not mis-score.
-        Err(stg::SgError::Reach(petri::ReachError::Stopped { reason, .. })) => {
-            Err(ResolveError::Exhausted(reason.into()))
-        }
-        // Inconsistent, unbounded, or over the per-candidate caps: the
-        // candidate is broken, skip it.
-        Err(_) => Ok(Score::Broken),
     }
 }
 
@@ -384,9 +374,14 @@ pub fn resolve_csc_with_report(
         }
         _ => Arc::new(Artifacts::new(Arc::new(stg.clone()))),
     };
-    let initial = match score(&input_artifacts, options, &guard, &mut report)? {
-        Score::Conflicts(n) => n,
-        Score::Broken => {
+    report.candidates_tried += 1;
+    let limits = explore_limits(&options.budget);
+    let initial = match input_artifacts.state_graph(limits, &guard) {
+        Ok(sg) => sg.csc_conflict_pairs(input_artifacts.stg()).len(),
+        // The caller's deadline/cancellation fired mid-build: abort
+        // the resolution, do not mis-score.
+        Err(SgError::Reach(ReachError::Stopped { reason, .. })) => return Err(exhausted(reason)),
+        Err(_) => {
             return Err(ResolveError::Input(
                 "the input STG cannot be scored (inconsistent, unsafe, or over the \
                  exploration caps)"
@@ -406,8 +401,6 @@ pub fn resolve_csc_with_report(
 
     let mut current = Scored {
         conflicts: initial,
-        toggles: 0,
-        stg: input_artifacts.shared_stg(),
         artifacts: input_artifacts,
     };
     // The lowest-conflict net seen so far: plateau rounds may adopt
@@ -416,17 +409,19 @@ pub fn resolve_csc_with_report(
     // final net.
     let mut best_seen = current.clone();
     let mut inserted = Vec::new();
-    for round in 0..options.max_signals {
+    let mut scorer = Scorer::default();
+    for _ in 0..options.max_signals {
         let round_start = Instant::now();
         let round_tried = report.candidates_tried;
-        let name = format!("csc{round}");
-        let mut best: Option<Scored> = None;
+        let name = fresh_signal_name(current.artifacts.stg());
+        let parent = Parent::new(current.artifacts.stg());
+        let mut best: Option<Best> = None;
         let mut solved = false;
         let mut pool: Vec<(usize, (PlaceId, PlaceId))> = Vec::new();
 
         // Single insertions: one toggle pair at every ordered pair of
         // distinct places.
-        let places = sweep_order(&current.stg);
+        let places = sweep_order(current.artifacts.stg());
         'candidates: for &p_plus in &places {
             for &p_minus in &places {
                 if p_plus == p_minus {
@@ -434,10 +429,10 @@ pub fn resolve_csc_with_report(
                 }
                 let hosts = [(p_plus, p_minus)];
                 let scored = try_candidate(
-                    &current.stg,
-                    &name,
+                    &parent,
                     &hosts,
-                    options,
+                    &mut scorer,
+                    limits.max_states,
                     &guard,
                     &mut report,
                     &mut best,
@@ -461,10 +456,10 @@ pub fn resolve_csc_with_report(
         if !solved && current.conflicts <= DOUBLE_CONFLICT_CAP {
             for hosts in &composed_doubles(&mut pool) {
                 let scored = try_candidate(
-                    &current.stg,
-                    &name,
+                    &parent,
                     hosts,
-                    options,
+                    &mut scorer,
+                    limits.max_states,
                     &guard,
                     &mut report,
                     &mut best,
@@ -481,10 +476,17 @@ pub fn resolve_csc_with_report(
             // visible progress, but moves the search off local optima
             // that no *single* insertion improves (the split still
             // refines the code, so a later insertion can separate
-            // states this round could not).
+            // states this round could not). Only this candidate is
+            // built as a net, with the artifact set its final
+            // verification and the pipeline's re-check share.
             Some(b) if b.conflicts <= current.conflicts => {
                 let remaining = b.conflicts;
-                current = b;
+                let stg = insert_state_signal_multi(current.artifacts.stg(), &name, &b.hosts)
+                    .map_err(|e| ResolveError::Input(e.to_string()))?;
+                current = Scored {
+                    conflicts: remaining,
+                    artifacts: Arc::new(Artifacts::new(Arc::new(stg))),
+                };
                 inserted.push(name.clone());
                 if current.conflicts < best_seen.conflicts {
                     best_seen = current.clone();
@@ -511,7 +513,7 @@ pub fn resolve_csc_with_report(
         // only ever *claims* success the unfolding engine confirms.
         // The check runs on the winner's own artifact set, which is
         // returned so the pipeline's re-check is warm next.
-        let run = CheckRequest::new(&current.stg, Property::Csc)
+        let run = CheckRequest::new(current.artifacts.stg(), Property::Csc)
             .engine(Engine::UnfoldingIlp)
             .budget(options.budget.clone())
             .artifacts(&current.artifacts)
@@ -533,7 +535,7 @@ pub fn resolve_csc_with_report(
         report.elapsed = started.elapsed();
         Ok(ResolveRun {
             outcome: ResolveOutcome::Resolved {
-                stg: (*current.stg).clone(),
+                stg: current.artifacts.stg().clone(),
                 inserted,
             },
             report,
@@ -550,7 +552,7 @@ pub fn resolve_csc_with_report(
         report.elapsed = started.elapsed();
         Ok(ResolveRun {
             outcome: ResolveOutcome::Failed {
-                best: (*best.stg).clone(),
+                best: best.artifacts.stg().clone(),
                 remaining: best.conflicts,
             },
             report,
@@ -577,7 +579,7 @@ mod tests {
     use stg::gen::counterflow::counterflow_sym;
     use stg::gen::duplex::{dup_4ph, dup_mod};
     use stg::gen::random::{random_stg, RandomStgConfig};
-    use stg::gen::ring::lazy_ring;
+    use stg::gen::ring::{eager_ring, lazy_ring};
     use stg::gen::vme::vme_read;
     use stg::StateGraph;
 
@@ -690,6 +692,27 @@ mod tests {
             Err(ResolveError::Exhausted(ExhaustionReason::DeadlineExpired)) => {}
             other => panic!("expected Exhausted(DeadlineExpired), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn deadline_stops_a_long_resolution_promptly() {
+        // RING's resolution runs for about a second in release; the
+        // kernel polls the deadline at every state it expands.
+        let options = ResolverOptions {
+            budget: Budget::unlimited().with_deadline(Duration::from_millis(50)),
+            ..Default::default()
+        };
+        let start = Instant::now();
+        let result = resolve_csc(&eager_ring(4), options);
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(
+                result,
+                Err(ResolveError::Exhausted(ExhaustionReason::DeadlineExpired))
+            ),
+            "{result:?}"
+        );
+        assert!(elapsed < Duration::from_millis(150), "{elapsed:?}");
     }
 
     #[test]

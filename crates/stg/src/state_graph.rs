@@ -7,6 +7,7 @@
 //! * the *oracle* every other engine is tested against, and
 //! * the explicit-state baseline in the benchmark harness.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -242,14 +243,55 @@ impl StateGraph {
         pairs
     }
 
+    /// The smallest pair `(a, b)`, `a < b`, of states with equal codes
+    /// and different keys, or with `any` the first such pair met.
+    ///
+    /// In state order, each code class's first state `a` is paired with
+    /// the first later state of the class whose key differs from `a`'s.
+    /// When any two states of a class differ, one of them differs from
+    /// `a`, so that is the class's smallest pair, and the smallest over
+    /// the classes is the graph's: the first pair of the sorted lists
+    /// [`StateGraph::usc_conflict_pairs`] and
+    /// [`StateGraph::csc_conflict_pairs`] build. Keys are computed only
+    /// for states that share a code, and at most once for each `a`.
+    fn first_pair<K: PartialEq>(
+        &self,
+        key: impl Fn(StateId) -> K,
+        any: bool,
+    ) -> Option<(StateId, StateId)> {
+        let mut first: HashMap<&CodeVec, (StateId, Option<K>)> = HashMap::new();
+        let mut best: Option<(StateId, StateId)> = None;
+        for s in self.states() {
+            let (a, a_key) = match first.entry(&self.codes[s.index()]) {
+                Entry::Vacant(e) => {
+                    e.insert((s, None));
+                    continue;
+                }
+                Entry::Occupied(e) => e.into_mut(),
+            };
+            // The class already holds the best pair, or cannot beat it.
+            if best.is_some_and(|(b, _)| b <= *a) {
+                continue;
+            }
+            if *a_key.get_or_insert_with(|| key(*a)) != key(s) {
+                best = Some((*a, s));
+                if any {
+                    break;
+                }
+            }
+        }
+        best
+    }
+
     /// The first USC conflict in state order, if any.
     pub fn first_usc_conflict(&self) -> Option<(StateId, StateId)> {
-        self.usc_conflict_pairs().into_iter().next()
+        // Distinct states always differ: every same-code pair counts.
+        self.first_pair(|s| s, false)
     }
 
     /// Whether the STG satisfies the USC property.
     pub fn satisfies_usc(&self) -> bool {
-        self.code_classes().values().all(|g| g.len() == 1)
+        self.first_pair(|s| s, true).is_none()
     }
 
     /// All CSC conflict pairs: same code, different `Out`.
@@ -274,12 +316,13 @@ impl StateGraph {
 
     /// The first CSC conflict in state order, if any.
     pub fn first_csc_conflict(&self, stg: &Stg) -> Option<(StateId, StateId)> {
-        self.csc_conflict_pairs(stg).into_iter().next()
+        self.first_pair(|s| stg.enabled_local_signals(self.marking(s)), false)
     }
 
     /// Whether the STG satisfies the CSC property.
     pub fn satisfies_csc(&self, stg: &Stg) -> bool {
-        self.csc_conflict_pairs(stg).is_empty()
+        self.first_pair(|s| stg.enabled_local_signals(self.marking(s)), true)
+            .is_none()
     }
 
     /// Checks p/n-normalcy of signal `z` by enumerating all ordered
@@ -441,6 +484,33 @@ mod tests {
         let (s1, s2) = sg.first_csc_conflict(&stg).unwrap();
         assert_eq!(sg.code(s1), sg.code(s2));
         assert_ne!(sg.marking(s1), sg.marking(s2));
+    }
+
+    #[test]
+    fn first_conflicts_are_the_smallest_listed_pairs() {
+        use crate::gen::random::{random_stg, RandomStgConfig};
+        let config = RandomStgConfig {
+            signals: 5,
+            ..RandomStgConfig::default()
+        };
+        let mut conflicted = [0, 0];
+        for seed in 0..150 {
+            let stg = random_stg(&config, seed);
+            let sg = StateGraph::build(&stg, Default::default()).unwrap();
+            let usc = sg.usc_conflict_pairs();
+            let csc = sg.csc_conflict_pairs(&stg);
+            assert_eq!(sg.first_usc_conflict(), usc.first().copied(), "{seed}");
+            assert_eq!(sg.satisfies_usc(), usc.is_empty(), "{seed}");
+            assert_eq!(sg.first_csc_conflict(&stg), csc.first().copied(), "{seed}");
+            assert_eq!(sg.satisfies_csc(&stg), csc.is_empty(), "{seed}");
+            conflicted[0] += usize::from(!usc.is_empty());
+            conflicted[1] += usize::from(!csc.is_empty());
+        }
+        // Both searches meet conflicted and conflict-free nets.
+        assert!(
+            conflicted.iter().all(|&n| n > 10 && n < 140),
+            "{conflicted:?}"
+        );
     }
 
     #[test]

@@ -103,6 +103,32 @@ fn unknown_flags_exit_2() {
 }
 
 #[test]
+fn synthesize_names_the_state_signal_apart_from_the_net_signals() {
+    use stg_coding_conflicts::csc_core::{CheckRequest, Engine, Property, Verdict};
+
+    // The fixture's output `d` is named `csc0`, so the inserted state
+    // signal must take the next free name; the resolved `.g` then
+    // declares every signal once and parses back.
+    let fixture = "tests/fixtures/vme_csc0.g";
+    let out = stgcheck(&["synthesize", fixture]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = stdout(&out);
+    assert!(
+        text.contains("resolved with 1 state signal(s): csc1"),
+        "{text}"
+    );
+    let out = stgcheck(&["synthesize", fixture, "--to-g"]);
+    assert_eq!(out.status.code(), Some(0));
+    let resolved = stg_coding_conflicts::stg::parse(&stdout(&out)).expect("resolved .g parses");
+    assert_eq!(resolved.num_signals(), 6);
+    let run = CheckRequest::new(&resolved, Property::Csc)
+        .engine(Engine::ExplicitStateGraph)
+        .run()
+        .expect("explicit check runs");
+    assert!(matches!(run.verdict, Verdict::Holds), "{:?}", run.verdict);
+}
+
+#[test]
 fn budgeted_csc_prints_the_same_witness() {
     let unbudgeted = stgcheck(&["csc", "assets/vme_read.g"]);
     let budgeted = stgcheck(&["csc", "assets/vme_read.g", "--timeout-ms", "5000"]);
